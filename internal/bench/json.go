@@ -116,20 +116,14 @@ func WriteJSON(w io.Writer, results []JSONResult) error {
 	return enc.Encode(Report{Meta: CollectMeta(), Results: results})
 }
 
-// ReadReport parses a benchmark file written by WriteJSON. It also
-// accepts the pre-metadata schema — a bare sample array — so older
-// committed trajectories stay comparable.
+// ReadReport parses a benchmark file written by WriteJSON.
 func ReadReport(r io.Reader) (Report, error) {
-	raw, err := io.ReadAll(r)
-	if err != nil {
-		return Report{}, err
-	}
 	var rep Report
-	if err := json.Unmarshal(raw, &rep); err == nil && rep.Results != nil {
-		return rep, nil
-	}
-	if err := json.Unmarshal(raw, &rep.Results); err != nil {
+	if err := json.NewDecoder(r).Decode(&rep); err != nil {
 		return Report{}, fmt.Errorf("bench: not a benchmark report: %w", err)
+	}
+	if rep.Results == nil {
+		return Report{}, fmt.Errorf("bench: not a benchmark report: no results")
 	}
 	return rep, nil
 }

@@ -74,17 +74,13 @@ func TestJSONConversions(t *testing.T) {
 		t.Fatalf("run metadata incomplete: %+v", rep.Meta)
 	}
 
-	// The pre-metadata schema — a bare sample array — must stay readable
-	// so older committed trajectories remain comparable.
-	legacy, err := json.Marshal(got)
+	// A bare sample array is not a Report: every committed trajectory
+	// carries its run metadata.
+	bare, err := json.Marshal(got)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err = ReadReport(bytes.NewReader(legacy))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Results) != 1 || rep.Results[0] != got[0] {
-		t.Fatalf("legacy array schema lost data: %+v", rep.Results)
+	if _, err := ReadReport(bytes.NewReader(bare)); err == nil {
+		t.Fatal("bare sample array accepted as a report")
 	}
 }

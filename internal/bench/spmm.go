@@ -54,11 +54,7 @@ func SpMMAmortization(opt Options) ([]Row, error) {
 // different widths are directly comparable.
 func (o Options) measureSpMM(f op.Format, plain *csr.Matrix, k, workers int) (Row, error) {
 	cols := make([]*core.Vector, k)
-	batch := func(m core.ProtectedMatrix) (time.Duration, error) {
-		ba, ok := m.(core.BatchApplier)
-		if !ok {
-			return 0, fmt.Errorf("%T does not implement core.BatchApplier", m)
-		}
+	batch := func(m op.Matrix) (time.Duration, error) {
 		m.SetCounters(&core.Counters{})
 		for j := range cols {
 			xs := make([]float64, plain.Cols32())
@@ -75,7 +71,7 @@ func (o Options) measureSpMM(f op.Format, plain *csr.Matrix, k, workers int) (Ro
 		run := func(iters int) (time.Duration, error) {
 			start := time.Now()
 			for i := 0; i < iters; i++ {
-				if err := ba.ApplyBatch(dst, x, workers); err != nil {
+				if err := m.ApplyBatch(dst, x, workers); err != nil {
 					return 0, err
 				}
 			}

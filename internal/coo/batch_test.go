@@ -89,7 +89,7 @@ func TestApplyBatchMatchesApply(t *testing.T) {
 // protocol through its corrective branch: a value-bit flip in shared
 // mode makes the chunk verify report dirty without committing the
 // repair, so the batch scatter must route the chunk through the local
-// per-element decodes — scatter64LocalBatch, scatterPairLocalBatch, or
+// per-element decodes — scatter64Local, scatterPairLocal, or
 // the CRC32C corrected group image — while every column stays bit-exact
 // against the unprotected reference and the stored fault survives for
 // the owner's scrub.
@@ -106,7 +106,9 @@ func TestApplyBatchSharedFallback(t *testing.T) {
 				}
 				var c core.Counters
 				m.SetCounters(&c)
-				m.SetShared(shared)
+				if shared {
+					m.SetReadMode(core.ModeShared)
+				}
 
 				v := m.RawVals()
 				k := len(v) / 2
@@ -123,7 +125,7 @@ func TestApplyBatchSharedFallback(t *testing.T) {
 					t.Fatal("no correction recorded for the injected flip")
 				}
 
-				m.SetShared(false)
+				m.SetReadMode(core.ModeExclusive)
 				corrected, err := m.CheckAll()
 				if err != nil {
 					t.Fatalf("scrub: %v", err)

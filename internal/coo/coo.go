@@ -155,18 +155,6 @@ func (m *Matrix) SetReadMode(mode core.ReadMode) { m.mode = mode }
 // ReadMode returns the configured read discipline.
 func (m *Matrix) ReadMode() core.ReadMode { return m.mode }
 
-// SetShared is the deprecated boolean precursor of SetReadMode: true
-// maps to ModeShared, false to ModeExclusive.
-//
-// Deprecated: use SetReadMode.
-func (m *Matrix) SetShared(shared bool) {
-	if shared {
-		m.SetReadMode(core.ModeShared)
-	} else {
-		m.SetReadMode(core.ModeExclusive)
-	}
-}
-
 // RawRows exposes the stored row indices for fault injection.
 func (m *Matrix) RawRows() []uint32 { return m.rowIdx }
 
@@ -458,20 +446,11 @@ func (m *Matrix) SpMV(dst *core.Vector, x *core.Vector) error {
 	return m.Apply(dst, x, 1)
 }
 
-// Apply computes dst = m * x with full integrity checking: every element
-// codeword is verified before use, indices are range-checked, and the
-// result is committed to the protected output block-wise through a dense
-// accumulator (COO scatter cannot stream output codewords directly; this
-// is the buffered-write strategy of paper section VI-C applied to a
-// scatter pattern). Workers above 1 split the entry stream into
-// codeword-aligned ranges, scatter into per-worker accumulators, and
-// reduce block-wise — each codeword and each output block has exactly one
-// owner, so the parallel path is race-free and bit-identical to serial.
+// Apply computes dst = m * x with full integrity checking under the
+// stored read mode: it is the k=1 case of the one product kernel (see
+// ApplyBatch).
 func (m *Matrix) Apply(dst *core.Vector, x *core.Vector, workers int) error {
-	if !m.mode.Verifies() {
-		return m.ApplyUnverified(dst, x, workers)
-	}
-	return m.apply(dst, x, workers, false)
+	return m.applyVec(dst, x, workers, m.mode)
 }
 
 // ApplyUnverified computes dst = m * x through the no-decode fast path
@@ -482,66 +461,117 @@ func (m *Matrix) Apply(dst *core.Vector, x *core.Vector, workers int) error {
 // verified readers of the same shared storage. It is the inner-solve
 // read path of selective reliability.
 func (m *Matrix) ApplyUnverified(dst *core.Vector, x *core.Vector, workers int) error {
-	return m.apply(dst, x, workers, true)
+	return m.applyVec(dst, x, workers, core.ModeUnverified)
 }
 
-func (m *Matrix) apply(dst *core.Vector, x *core.Vector, workers int, unverified bool) error {
+// ApplyBatch computes dst = m * x for every column of x in one pass over
+// the entry stream under the stored read mode, satisfying
+// core.BatchApplier. Each chunk of element codewords is batch-verified
+// exactly once and then scattered into k accumulators, so the
+// matrix-side check cost is paid per pass instead of per right-hand
+// side. Per-column results are bit-identical to k independent
+// single-column products: entries scatter in the same order into each
+// column's own accumulator, and each column commits through its own
+// dense buffer.
+func (m *Matrix) ApplyBatch(dst, x *core.MultiVector, workers int) error {
+	return m.apply(dst, x, workers, m.mode)
+}
+
+// applyVec runs the kernel over single-column views of dst and x.
+func (m *Matrix) applyVec(dst, x *core.Vector, workers int, mode core.ReadMode) error {
+	// Single-column wraps cannot fail.
+	d, _ := core.WrapMultiVector(dst)
+	xs, _ := core.WrapMultiVector(x)
+	return m.apply(d, xs, workers, mode)
+}
+
+// apply is the product kernel: dst = m * x for every column under mode.
+// Every element codeword is verified before use (unless mode is
+// ModeUnverified), indices are range-checked, and each column is
+// committed to its protected output block-wise through a dense
+// accumulator (COO scatter cannot stream output codewords directly;
+// this is the buffered-write strategy of paper section VI-C applied to
+// a scatter pattern). Workers above 1 split the entry stream into
+// codeword-aligned ranges, scatter into per-worker accumulators, and
+// reduce block-wise — each codeword and each output block has exactly
+// one owner, so the parallel path is race-free and bit-identical to
+// serial.
+func (m *Matrix) apply(dst, x *core.MultiVector, workers int, mode core.ReadMode) error {
 	if dst.Len() != m.rows || x.Len() != m.cols {
-		return fmt.Errorf("coo: SpMV dimension mismatch: dst %d, m %dx%d, x %d",
+		return fmt.Errorf("coo: product dimension mismatch: dst %d, m %dx%d, x %d",
 			dst.Len(), m.rows, m.cols, x.Len())
 	}
-	xbuf := make([]float64, m.cols)
-	if unverified {
-		if err := x.CopyToUnverified(xbuf); err != nil {
+	if dst.K() != x.K() {
+		return fmt.Errorf("coo: product width mismatch: dst %d, x %d", dst.K(), x.K())
+	}
+	k := x.K()
+	xs := make([]float64, k*m.cols)
+	for j := 0; j < k; j++ {
+		col, buf := x.Col(j), xs[j*m.cols:(j+1)*m.cols]
+		var err error
+		if mode.Verifies() {
+			err = col.CopyTo(buf)
+		} else {
+			err = col.CopyToUnverified(buf)
+		}
+		if err != nil {
 			return err
 		}
-	} else if err := x.CopyTo(xbuf); err != nil {
-		return err
-	}
-	scatter := m.scatterRange
-	if unverified {
-		// No verify pass at all: the clean-stream scatter covers the whole
-		// range (index mask and bounds checks still apply).
-		scatter = m.scatterClean
 	}
 	ranges := m.entryRanges(workers)
 	if len(ranges) <= 1 {
-		acc := make([]float64, m.rows)
-		if err := scatter(acc, xbuf, 0, len(m.vals)); err != nil {
+		s := sums{x: xs, acc: make([]float64, k*m.rows), k: k}
+		if err := m.scatterRange(&s, 0, len(m.vals), mode); err != nil {
 			return err
 		}
-		return commitAcc(dst, acc, m.rows)
+		for j := 0; j < k; j++ {
+			commitAcc(dst.Col(j), s.acc[j*m.rows:], m.rows)
+		}
+		return nil
 	}
 	accs := make([][]float64, len(ranges))
 	byLo := make(map[int][]float64, len(ranges))
 	for i, r := range ranges {
-		accs[i] = make([]float64, m.rows)
+		accs[i] = make([]float64, k*m.rows)
 		byLo[r[0]] = accs[i]
 	}
 	err := par.Run(ranges, func(lo, hi int) error {
-		return scatter(byLo[lo], xbuf, lo, hi)
+		s := sums{x: xs, acc: byLo[lo], k: k}
+		return m.scatterRange(&s, lo, hi, mode)
 	})
 	if err != nil {
 		return err
 	}
-	// Reduce the per-worker accumulators block-wise. Ranges are row-aligned,
-	// so every row was summed left-to-right inside exactly one accumulator
-	// and the result is bit-identical for any worker count.
+	// Reduce the per-worker accumulators block-wise, per column. Ranges
+	// are row-aligned, so every row was summed left-to-right inside
+	// exactly one accumulator and the result is bit-identical for any
+	// worker count.
 	return par.ForEach((m.rows+3)/4, workers, 1, func(blo, bhi int) error {
 		var out [4]float64
-		for blk := blo; blk < bhi; blk++ {
-			for i := 0; i < 4; i++ {
-				out[i] = 0
-				if idx := blk*4 + i; idx < m.rows {
-					for _, acc := range accs {
-						out[i] += acc[idx]
+		for j := 0; j < k; j++ {
+			col := dst.Col(j)
+			for blk := blo; blk < bhi; blk++ {
+				for i := 0; i < 4; i++ {
+					out[i] = 0
+					if idx := blk*4 + i; idx < m.rows {
+						for _, acc := range accs {
+							out[i] += acc[j*m.rows+idx]
+						}
 					}
 				}
+				col.WriteBlock(blk, &out)
 			}
-			dst.WriteBlock(blk, &out)
 		}
 		return nil
 	})
+}
+
+// sums is one worker's share of a k-column product: x holds the decoded
+// source columns and acc the accumulators, both column-major (column j
+// of x starts at j*cols, of acc at j*rows).
+type sums struct {
+	x, acc []float64
+	k      int
 }
 
 // entryRanges splits the entry stream into at most workers contiguous
@@ -585,24 +615,26 @@ func (m *Matrix) entryRanges(workers int) [][2]int {
 // scatter pass. It is a multiple of every codeword group size.
 const verifyChunk = 64
 
-// scatterRange verifies and scatters entries [lo,hi) into acc following
+// scatterRange verifies and scatters entries [lo,hi) into s following
 // the verify-then-stream protocol: each chunk's codewords are
-// batch-verified in a tight per-scheme loop, then the chunk streams
-// unguarded (index mask and range checks only) with no decode
-// interleaved with the multiply. Only a chunk whose correction could not
-// be committed — the matrix is shared across Apply callers (see
-// SetShared) and a live fault was hit — falls back to a corrective local
-// decode, so the slow path is paid per faulty chunk, not per sweep.
-// Ranges are codeword-aligned, so workers never share a codeword.
-func (m *Matrix) scatterRange(acc, xbuf []float64, lo, hi int) error {
-	commit := m.mode.Commits()
+// batch-verified once in a tight per-scheme loop (checks counted once,
+// whatever the column count), then the chunk streams unguarded (index
+// mask and range checks only) into every column with no decode
+// interleaved with the multiply. Only a chunk whose correction could
+// not be committed — the matrix is shared across Apply callers
+// (ModeShared) and a live fault was hit — falls back to a corrective
+// local decode, so the slow path is paid per faulty chunk, not per
+// sweep. Under ModeUnverified there is no verify pass at all: the
+// clean-stream scatter covers the whole range. Ranges are
+// codeword-aligned, so workers never share a codeword.
+func (m *Matrix) scatterRange(s *sums, lo, hi int, mode core.ReadMode) error {
+	if !mode.Verifies() || m.scheme == core.None {
+		return m.scatterClean(s, lo, hi)
+	}
+	commit := mode.Commits()
 	var checks uint64
 	defer func() { m.counters.AddChecks(checks) }()
 	switch m.scheme {
-	case core.None:
-		for k := lo; k < hi; k++ {
-			acc[m.rowIdx[k]] += m.vals[k] * xbuf[m.colIdx[k]]
-		}
 	case core.SED:
 		// Detect-only: nothing to fall back to, verify then stream.
 		checks += uint64(hi - lo)
@@ -611,13 +643,10 @@ func (m *Matrix) scatterRange(acc, xbuf []float64, lo, hi int) error {
 				return err
 			}
 		}
-		return m.scatterClean(acc, xbuf, lo, hi)
+		return m.scatterClean(s, lo, hi)
 	case core.SECDED64:
 		for base := lo; base < hi; base += verifyChunk {
-			end := base + verifyChunk
-			if end > hi {
-				end = hi
-			}
+			end := min(base+verifyChunk, hi)
 			checks += uint64(end - base)
 			dirty := false
 			for k := base; k < end; k++ {
@@ -625,15 +654,13 @@ func (m *Matrix) scatterRange(acc, xbuf []float64, lo, hi int) error {
 				if err != nil {
 					return err
 				}
-				if corrected && !commit {
-					dirty = true
-				}
+				dirty = dirty || corrected && !commit
 			}
 			var err error
 			if dirty {
-				err = m.scatter64Local(acc, xbuf, base, end)
+				err = m.scatter64Local(s, base, end)
 			} else {
-				err = m.scatterClean(acc, xbuf, base, end)
+				err = m.scatterClean(s, base, end)
 			}
 			if err != nil {
 				return err
@@ -641,10 +668,7 @@ func (m *Matrix) scatterRange(acc, xbuf []float64, lo, hi int) error {
 		}
 	case core.SECDED128:
 		for base := lo; base < hi; base += verifyChunk {
-			end := base + verifyChunk
-			if end > hi {
-				end = hi
-			}
+			end := min(base+verifyChunk, hi)
 			checks += uint64((end - base + 1) / 2)
 			dirty := false
 			for t := base / 2; 2*t < end; t++ {
@@ -652,15 +676,13 @@ func (m *Matrix) scatterRange(acc, xbuf []float64, lo, hi int) error {
 				if err != nil {
 					return err
 				}
-				if corrected && !commit {
-					dirty = true
-				}
+				dirty = dirty || corrected && !commit
 			}
 			var err error
 			if dirty {
-				err = m.scatterPairLocal(acc, xbuf, base, end)
+				err = m.scatterPairLocal(s, base, end)
 			} else {
-				err = m.scatterClean(acc, xbuf, base, end)
+				err = m.scatterClean(s, base, end)
 			}
 			if err != nil {
 				return err
@@ -675,9 +697,9 @@ func (m *Matrix) scatterRange(acc, xbuf []float64, lo, hi int) error {
 				return err
 			}
 			if corrected && !commit {
-				err = m.scatterGroupImg(acc, xbuf, base, &img)
+				err = m.scatterGroupImg(s, base, &img)
 			} else {
-				err = m.scatterClean(acc, xbuf, base, base+crcGroup)
+				err = m.scatterClean(s, base, base+crcGroup)
 			}
 			if err != nil {
 				return err
@@ -687,25 +709,42 @@ func (m *Matrix) scatterRange(acc, xbuf []float64, lo, hi int) error {
 	return nil
 }
 
-// scatterClean scatters entries [lo,hi) straight from storage: the fast
-// second half of verify-then-stream, applying only the index mask and
-// the range checks.
-func (m *Matrix) scatterClean(acc, xbuf []float64, lo, hi int) error {
+// scatterClean scatters entries [lo,hi) straight from storage into every
+// column, applying only the index mask and the range checks: the fast
+// second half of verify-then-stream. Each entry streams once for all
+// columns; a single column takes a scalar loop, and the unprotected
+// baseline keeps its raw indices unchecked, like an unprotected solver.
+func (m *Matrix) scatterClean(s *sums, lo, hi int) error {
+	if s.k > 1 {
+		mask := m.idxMask()
+		for k := lo; k < hi; k++ {
+			row := m.rowIdx[k] & mask
+			col := m.colIdx[k] & mask
+			if row >= uint32(m.rows) || col >= uint32(m.cols) {
+				return m.boundsErr(k, row, col)
+			}
+			v := m.vals[k]
+			for a, x := int(row), int(col); a < len(s.acc); a, x = a+m.rows, x+m.cols {
+				s.acc[a] += v * s.x[x]
+			}
+		}
+		return nil
+	}
+	acc, x := s.acc, s.x
+	if m.scheme == core.None {
+		for k := lo; k < hi; k++ {
+			acc[m.rowIdx[k]] += m.vals[k] * x[m.colIdx[k]]
+		}
+		return nil
+	}
 	mask := m.idxMask()
 	for k := lo; k < hi; k++ {
 		row := m.rowIdx[k] & mask
 		col := m.colIdx[k] & mask
-		if row >= uint32(m.rows) {
-			m.counters.AddBounds(1)
-			return &core.BoundsError{Structure: core.StructElements, Index: k,
-				Value: row, Limit: uint32(m.rows)}
+		if row >= uint32(m.rows) || col >= uint32(m.cols) {
+			return m.boundsErr(k, row, col)
 		}
-		if col >= uint32(m.cols) {
-			m.counters.AddBounds(1)
-			return &core.BoundsError{Structure: core.StructElements, Index: k,
-				Value: col, Limit: uint32(m.cols)}
-		}
-		acc[row] += m.vals[k] * xbuf[col]
+		acc[row] += m.vals[k] * x[col]
 	}
 	return nil
 }
@@ -714,7 +753,7 @@ func (m *Matrix) scatterClean(acc, xbuf []float64, lo, hi int) error {
 // every element decodes through a local codeword with the correction
 // applied there, never touching shared storage. The verify pass already
 // accounted the checks and corrections.
-func (m *Matrix) scatter64Local(acc, xbuf []float64, lo, hi int) error {
+func (m *Matrix) scatter64Local(s *sums, lo, hi int) error {
 	for k := lo; k < hi; k++ {
 		cw := ecc.Word4{
 			math.Float64bits(m.vals[k]),
@@ -723,7 +762,7 @@ func (m *Matrix) scatter64Local(acc, xbuf []float64, lo, hi int) error {
 		if res, _ := codecElem64.Check(&cw); res == ecc.Detected {
 			return m.fault(k, "secded64 double-bit error")
 		}
-		if err := m.scatterElem(acc, xbuf, k,
+		if err := m.scatterElem(s, k,
 			uint32(cw[1])&eccIdxMask, uint32(cw[1]>>32)&eccIdxMask,
 			math.Float64frombits(cw[0])); err != nil {
 			return err
@@ -734,7 +773,7 @@ func (m *Matrix) scatter64Local(acc, xbuf []float64, lo, hi int) error {
 
 // scatterPairLocal is scatter64Local for a dirty SECDED128 chunk; lo and
 // hi are pair-aligned (chunks and ranges are codeword-aligned).
-func (m *Matrix) scatterPairLocal(acc, xbuf []float64, lo, hi int) error {
+func (m *Matrix) scatterPairLocal(s *sums, lo, hi int) error {
 	for t := lo / 2; 2*t < hi; t++ {
 		k := 2 * t
 		cw := ecc.Word4{
@@ -747,7 +786,7 @@ func (m *Matrix) scatterPairLocal(acc, xbuf []float64, lo, hi int) error {
 			return m.fault(t, "secded128 double-bit error")
 		}
 		for j := 0; j < 2; j++ {
-			if err := m.scatterElem(acc, xbuf, k+j,
+			if err := m.scatterElem(s, k+j,
 				uint32(cw[1+2*j])&eccIdxMask, uint32(cw[1+2*j]>>32)&eccIdxMask,
 				math.Float64frombits(cw[2*j])); err != nil {
 				return err
@@ -760,9 +799,9 @@ func (m *Matrix) scatterPairLocal(acc, xbuf []float64, lo, hi int) error {
 // scatterGroupImg is the corrective fallback for a dirty CRC32C group:
 // the verify left the corrected group image in img, so the scatter
 // streams from it instead of the stale storage.
-func (m *Matrix) scatterGroupImg(acc, xbuf []float64, base int, img *[16 * crcGroup]byte) error {
+func (m *Matrix) scatterGroupImg(s *sums, base int, img *[16 * crcGroup]byte) error {
 	for i := 0; i < crcGroup; i++ {
-		if err := m.scatterElem(acc, xbuf, base+i,
+		if err := m.scatterElem(s, base+i,
 			binary.LittleEndian.Uint32(img[16*i+8:])&eccIdxMask,
 			binary.LittleEndian.Uint32(img[16*i+12:])&eccIdxMask,
 			math.Float64frombits(binary.LittleEndian.Uint64(img[16*i:]))); err != nil {
@@ -772,25 +811,32 @@ func (m *Matrix) scatterGroupImg(acc, xbuf []float64, base int, img *[16 * crcGr
 	return nil
 }
 
-// scatterElem range-checks and applies one decoded element.
-func (m *Matrix) scatterElem(acc, xbuf []float64, k int, row, col uint32, val float64) error {
-	if row >= uint32(m.rows) {
-		m.counters.AddBounds(1)
-		return &core.BoundsError{Structure: core.StructElements, Index: k,
-			Value: row, Limit: uint32(m.rows)}
+// scatterElem range-checks one decoded element and applies it to every
+// column.
+func (m *Matrix) scatterElem(s *sums, k int, row, col uint32, val float64) error {
+	if row >= uint32(m.rows) || col >= uint32(m.cols) {
+		return m.boundsErr(k, row, col)
 	}
-	if col >= uint32(m.cols) {
-		m.counters.AddBounds(1)
-		return &core.BoundsError{Structure: core.StructElements, Index: k,
-			Value: col, Limit: uint32(m.cols)}
+	for j := 0; j < s.k; j++ {
+		s.acc[j*m.rows+int(row)] += val * s.x[j*m.cols+int(col)]
 	}
-	acc[row] += val * xbuf[col]
 	return nil
 }
 
-// commitAcc writes a dense accumulator into the protected output vector
-// one codeword block at a time.
-func commitAcc(dst *core.Vector, acc []float64, n int) error {
+// boundsErr counts and reports the out-of-range index of element k.
+func (m *Matrix) boundsErr(k int, row, col uint32) error {
+	m.counters.AddBounds(1)
+	if row >= uint32(m.rows) {
+		return &core.BoundsError{Structure: core.StructElements, Index: k,
+			Value: row, Limit: uint32(m.rows)}
+	}
+	return &core.BoundsError{Structure: core.StructElements, Index: k,
+		Value: col, Limit: uint32(m.cols)}
+}
+
+// commitAcc writes the first n entries of a dense accumulator into the
+// protected output vector one codeword block at a time.
+func commitAcc(dst *core.Vector, acc []float64, n int) {
 	var out [4]float64
 	for blk := 0; blk*4 < n; blk++ {
 		for i := 0; i < 4; i++ {
@@ -802,7 +848,6 @@ func commitAcc(dst *core.Vector, acc []float64, n int) error {
 		}
 		dst.WriteBlock(blk, &out)
 	}
-	return nil
 }
 
 // Diagonal extracts the main diagonal into dst (length >= Rows), fully

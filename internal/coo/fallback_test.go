@@ -34,7 +34,9 @@ func TestCOOSharedFallback(t *testing.T) {
 				}
 				var c core.Counters
 				m.SetCounters(&c)
-				m.SetShared(shared)
+				if shared {
+					m.SetReadMode(core.ModeShared)
+				}
 
 				v := m.RawVals()
 				k := len(v) / 2
@@ -61,7 +63,7 @@ func TestCOOSharedFallback(t *testing.T) {
 					t.Fatal("no correction recorded for the injected flip")
 				}
 
-				m.SetShared(false)
+				m.SetReadMode(core.ModeExclusive)
 				corrected, err := m.CheckAll()
 				if err != nil {
 					t.Fatalf("scrub: %v", err)

@@ -34,21 +34,7 @@ func SpMV(dst *Vector, m *Matrix, x *Vector, workers int) error {
 // corrections discovered in shared structures are used for the computation
 // but left in storage for the next serial check or scrub to repair.
 func SpMVOpts(dst *Vector, m *Matrix, x *Vector, opt SpMVOptions) error {
-	if dst.Len() != m.Rows() || x.Len() != m.Cols() {
-		return fmt.Errorf("core: SpMV dimension mismatch: dst %d, m %dx%d, x %d",
-			dst.Len(), m.Rows(), m.Cols(), x.Len())
-	}
-	if !m.mode.Verifies() {
-		return m.applyUnverified(dst, x, opt.Workers)
-	}
-	fullCheck := m.StartSweep()
-	ranges := par.Ranges(m.Rows(), opt.Workers, 8)
-	if len(ranges) <= 1 {
-		return m.spmvRange(dst, x, 0, m.Rows(), fullCheck, m.mode.Commits(), opt.DisableCache)
-	}
-	return par.Run(ranges, func(lo, hi int) error {
-		return m.spmvRange(dst, x, lo, hi, fullCheck, false, opt.DisableCache)
-	})
+	return m.spmv(dst, x, opt, m.mode)
 }
 
 // ApplyUnverified multiplies dst = m x through the no-decode fast path
@@ -61,81 +47,28 @@ func SpMVOpts(dst *Vector, m *Matrix, x *Vector, opt SpMVOptions) error {
 // detected) by the caller's verified outer iteration, never silently
 // committed.
 func (m *Matrix) ApplyUnverified(dst, x *Vector, workers int) error {
+	return m.spmv(dst, x, SpMVOptions{Workers: workers}, ModeUnverified)
+}
+
+// spmv is the single-RHS product under an explicit read mode. Only
+// verifying modes advance the sweep counter; parallel workers never
+// commit, because they do not own every codeword they read.
+func (m *Matrix) spmv(dst, x *Vector, opt SpMVOptions, mode ReadMode) error {
 	if dst.Len() != m.Rows() || x.Len() != m.Cols() {
 		return fmt.Errorf("core: SpMV dimension mismatch: dst %d, m %dx%d, x %d",
 			dst.Len(), m.Rows(), m.Cols(), x.Len())
 	}
-	return m.applyUnverified(dst, x, workers)
-}
-
-func (m *Matrix) applyUnverified(dst, x *Vector, workers int) error {
-	ranges := par.Ranges(m.Rows(), workers, 8)
+	fullCheck := mode.Verifies() && m.StartSweep()
+	ranges := par.Ranges(m.Rows(), opt.Workers, 8)
 	if len(ranges) <= 1 {
-		return m.spmvUnverifiedRange(dst, x, 0, m.Rows())
+		return m.spmvRange(dst, x, 0, m.Rows(), fullCheck, mode, opt.DisableCache)
+	}
+	if mode == ModeExclusive {
+		mode = ModeShared
 	}
 	return par.Run(ranges, func(lo, hi int) error {
-		return m.spmvUnverifiedRange(dst, x, lo, hi)
+		return m.spmvRange(dst, x, lo, hi, fullCheck, mode, opt.DisableCache)
 	})
-}
-
-// spmvUnverifiedRange is spmvRange with every decode stripped: the
-// clean-stream loop runs unconditionally (there is no verify pass to
-// flag a row dirty), the row-pointer cursor runs in its no-check form,
-// and the stencil cache reads source blocks through ReadBlockNoCheck.
-// Column masks and bounds checks remain — the unverified contract drops
-// integrity checking, not memory safety.
-func (m *Matrix) spmvUnverifiedRange(dst, x *Vector, lo, hi int) error {
-	if m.elemScheme == None && m.rowScheme == None && x.scheme == None {
-		return m.spmvRawRange(dst, x, lo, hi)
-	}
-	cur := rowPtrCursor{m: m, group: -1}
-	cache := stencilCache{v: x, noverify: true}
-	cache.reset()
-	colMask := colMaskFor(m.elemScheme)
-	xRaw := x.scheme == None
-	var out [vecBlock]float64
-	rlo32, err := cur.value(lo)
-	if err != nil {
-		return err
-	}
-	for r := lo; r < hi; r++ {
-		rhi32, err := cur.value(r + 1)
-		if err != nil {
-			return err
-		}
-		if rlo32 > rhi32 {
-			return m.boundsErr(StructRowPtr, r, rlo32, rhi32)
-		}
-		var sum float64
-		for k := int(rlo32); k < int(rhi32); k++ {
-			col := m.colIdx[k] & colMask
-			if m.elemScheme != None && col >= uint32(m.cols) {
-				return m.boundsErr(StructElements, k, col, uint32(m.cols))
-			}
-			var xv float64
-			if xRaw {
-				xv = math.Float64frombits(x.words[col])
-			} else {
-				xv, err = cache.at(int(col))
-				if err != nil {
-					return err
-				}
-			}
-			sum += m.vals[k] * xv
-		}
-		rlo32 = rhi32
-		out[r%vecBlock] = sum
-		if r%vecBlock == vecBlock-1 {
-			dst.WriteBlock(r/vecBlock, &out)
-		}
-	}
-	if hi%vecBlock != 0 {
-		for i := hi % vecBlock; i < vecBlock; i++ {
-			out[i] = 0
-		}
-		dst.WriteBlock(hi/vecBlock, &out)
-	}
-	return nil
 }
 
 // spmvRange multiplies rows [lo,hi); lo must be a multiple of the output
@@ -149,12 +82,20 @@ func (m *Matrix) spmvUnverifiedRange(dst, x *Vector, lo, hi int) error {
 // shared operator hit a live fault) does the row fall back to the
 // corrective per-element decode, so the fallback's cost is paid per
 // faulty row, not per sweep.
-func (m *Matrix) spmvRange(dst, x *Vector, lo, hi int, fullCheck, commit, noCache bool) error {
+//
+// Under ModeUnverified (fullCheck is then false) every decode is
+// stripped: the clean-stream loop runs unconditionally, the row-pointer
+// cursor runs in its no-check form and the stencil cache reads source
+// blocks through ReadBlockNoCheck. Column masks and bounds checks
+// remain — the unverified contract drops integrity checking, not memory
+// safety.
+func (m *Matrix) spmvRange(dst, x *Vector, lo, hi int, fullCheck bool, mode ReadMode, noCache bool) error {
 	if m.elemScheme == None && m.rowScheme == None && x.scheme == None {
 		return m.spmvRawRange(dst, x, lo, hi)
 	}
+	commit := mode.Commits()
 	cur := rowPtrCursor{m: m, check: fullCheck, commit: commit, group: -1}
-	cache := stencilCache{v: x, commit: commit, disabled: noCache}
+	cache := stencilCache{v: x, commit: commit, disabled: noCache, noverify: !mode.Verifies()}
 	cache.reset()
 	colMask := colMaskFor(m.elemScheme)
 	var scratch []byte
@@ -482,37 +423,6 @@ func CopyBlocks(dst, src *Vector, b0, b1 int) error {
 		dst.WriteBlock(blk, &buf)
 	}
 	return nil
-}
-
-// DiagScale computes dst[i] = diag[i] * x[i] for a plain coefficient
-// slice, the Jacobi-preconditioner application. diag is trusted data (it
-// is derived from the protected matrix when built); x and dst are
-// protected.
-func DiagScale(dst *Vector, diag []float64, x *Vector, workers int) error {
-	if dst.Len() != x.Len() || len(diag) < x.Len() {
-		return fmt.Errorf("core: DiagScale length mismatch dst=%d diag=%d x=%d",
-			dst.Len(), len(diag), x.Len())
-	}
-	n := x.Len()
-	return par.ForEach(dst.Blocks(), workers, 1, func(lo, hi int) error {
-		var xv, out [vecBlock]float64
-		x.counters.AddChecks(uint64(hi-lo) * x.checksPerBlock())
-		for blk := lo; blk < hi; blk++ {
-			if err := x.readBlock(blk, &xv, true); err != nil {
-				return err
-			}
-			base := blk * vecBlock
-			for i := range out {
-				if base+i < n {
-					out[i] = diag[base+i] * xv[i]
-				} else {
-					out[i] = 0
-				}
-			}
-			dst.WriteBlock(blk, &out)
-		}
-		return nil
-	})
 }
 
 // AxpyRMW is the deliberately unbuffered variant of Axpy used by the

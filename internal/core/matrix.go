@@ -174,19 +174,6 @@ func (m *Matrix) SetReadMode(mode ReadMode) { m.mode = mode }
 // ReadMode returns the configured read discipline.
 func (m *Matrix) ReadMode() ReadMode { return m.mode }
 
-// SetShared is the deprecated boolean precursor of SetReadMode, kept as
-// a thin forwarding wrapper: true maps to ModeShared, false to
-// ModeExclusive.
-//
-// Deprecated: use SetReadMode.
-func (m *Matrix) SetShared(shared bool) {
-	if shared {
-		m.SetReadMode(ModeShared)
-	} else {
-		m.SetReadMode(ModeExclusive)
-	}
-}
-
 // SetCheckInterval adjusts the full-check cadence; see MatrixOptions.
 func (m *Matrix) SetCheckInterval(n int) { m.interval = n }
 

@@ -40,10 +40,15 @@ func NewMultiVector(n, k int, s Scheme) *MultiVector {
 // must agree in length and scheme. The columns are shared, not copied:
 // writes through the multivector are visible to the originals, which is
 // how the service gives each coalesced job its own counter-carrying
-// column inside one batched solve.
+// column inside one batched solve. A single column wraps into the
+// vector's own cached one-column view, so the k=1 product paths (every
+// format's Apply) allocate nothing for it.
 func WrapMultiVector(cols ...*Vector) (*MultiVector, error) {
 	if len(cols) == 0 {
 		return nil, fmt.Errorf("core: WrapMultiVector needs at least one column")
+	}
+	if len(cols) == 1 {
+		return cols[0].view(), nil
 	}
 	n, s := cols[0].Len(), cols[0].Scheme()
 	for j, c := range cols {
@@ -54,7 +59,20 @@ func WrapMultiVector(cols ...*Vector) (*MultiVector, error) {
 			return nil, fmt.Errorf("core: column %d scheme %v != %v", j, c.Scheme(), s)
 		}
 	}
-	return &MultiVector{cols: cols, n: n, k: len(cols)}, nil
+	// Keep a copy rather than the caller's slice: storing cols would make
+	// every variadic argument escape, so each one-column wrap (every
+	// format's Apply) would allocate its slice; TestApplyAllocs in
+	// internal/coo, internal/sell and internal/shard pins that.
+	return &MultiVector{cols: append([]*Vector(nil), cols...), n: n, k: len(cols)}, nil
+}
+
+// view returns v's single-column multivector, building it on first use.
+func (v *Vector) view() *MultiVector {
+	if mv := v.single.Load(); mv != nil {
+		return mv
+	}
+	v.single.CompareAndSwap(nil, &MultiVector{cols: []*Vector{v}, n: v.n, k: 1})
+	return v.single.Load()
 }
 
 // Len returns the per-column logical element count.

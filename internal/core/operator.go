@@ -2,7 +2,8 @@ package core
 
 // ProtectedMatrix is the format-agnostic contract every ABFT-protected
 // sparse matrix implementation satisfies: CSR (this package), coordinate
-// format (internal/coo) and SELL-C-sigma (internal/sell). Solvers, fault
+// format (internal/coo), SELL-C-sigma (internal/sell) and the sharded
+// composite (internal/shard). Solvers, fault
 // campaigns and benchmarks depend on this interface only, never on a
 // concrete storage layout — the "opaque operator" framing of
 // Elliott/Hoemmen/Mueller applied to the paper's embedded-ECC matrices.
@@ -20,8 +21,9 @@ type ProtectedMatrix interface {
 	NNZ() int
 	// Scheme returns the element protection scheme.
 	Scheme() Scheme
-	// Apply computes dst = A x with integrity checking, using up to
-	// workers goroutines (values below 2 run serially).
+	// Apply computes dst = A x with integrity checking under the stored
+	// read mode, using up to workers goroutines (values below 2 run
+	// serially).
 	Apply(dst, x *Vector, workers int) error
 	// Diagonal extracts the fully verified main diagonal into dst
 	// (length >= Rows), for building Jacobi preconditioners.
@@ -40,11 +42,6 @@ type ProtectedMatrix interface {
 	// to Scrub, which the owner serializes against Apply. Must be set
 	// before the matrix becomes visible to other goroutines.
 	SetReadMode(ReadMode)
-	// SetShared is the deprecated boolean precursor of SetReadMode: true
-	// maps to ModeShared, false to ModeExclusive.
-	//
-	// Deprecated: use SetReadMode.
-	SetShared(bool)
 	// CounterSnapshot returns a point-in-time copy of the attached
 	// counters (zeros when none are attached).
 	CounterSnapshot() CounterSnapshot
@@ -62,7 +59,8 @@ type ProtectedMatrix interface {
 // exists so a cached shared operator can serve a selective-reliability
 // inner solve concurrently with verified readers without its stored
 // read mode ever being mutated mid-solve. All formats in this
-// repository and the sharded composite implement it.
+// repository and the sharded composite implement it; op.Matrix names
+// that full contract.
 type UnverifiedApplier interface {
 	ApplyUnverified(dst, x *Vector, workers int) error
 }

@@ -3,9 +3,10 @@ package core
 import "fmt"
 
 // ReadMode selects how reads through protected storage treat the
-// embedded codewords. It replaces the earlier SetShared(bool) toggle,
-// which conflated two orthogonal decisions — whether corrections may be
-// written back, and whether codewords are decoded at all — in one flag.
+// embedded codewords. It separates two decisions — whether corrections
+// may be written back, and whether codewords are decoded at all — and
+// every product kernel takes it as an argument: Apply and ApplyBatch
+// run under the stored mode, ApplyUnverified under ModeUnverified.
 //
 // The modes form a strict ladder of trust:
 //

@@ -18,7 +18,7 @@ import (
 // are batch-verified once, then the entries stream from storage with
 // only the column mask and range check applied. In exclusive mode (the
 // default) repairs are committed to storage, so a verified row is
-// always streamable. In shared mode (Matrix.SetShared) nothing is ever
+// always streamable. In shared mode (SetReadMode(ModeShared)) nothing is ever
 // written back; a row whose verify found a correction it could not
 // commit falls back to a corrective per-element local decode — the
 // matrix-element analogue of Vector.ReadBlockShared — so the visitor

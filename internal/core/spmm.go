@@ -12,9 +12,10 @@ import (
 // implementations: a batched sparse matrix–multivector product that
 // makes one verify-then-stream pass over the matrix and feeds k
 // accumulators, so every matrix-side integrity check is paid once per
-// pass instead of once per right-hand side. All formats in this
-// repository (CSR here, internal/coo, internal/sell) and the sharded
-// composite implement it.
+// pass instead of once per right-hand side. It runs under the stored
+// read mode; under ModeUnverified it behaves like k ApplyUnverified
+// calls. All formats in this repository and the sharded composite
+// implement it; op.Matrix names that full contract.
 type BatchApplier interface {
 	ApplyBatch(dst, x *MultiVector, workers int) error
 }
@@ -25,7 +26,8 @@ type BatchApplier interface {
 // x-side codewords cost one check per block per pass, independent of
 // how many matrix entries reference them), then rows stream under the
 // same verify-then-stream protocol as SpMV with k running sums.
-// Per-column results are bit-identical to k independent Apply calls.
+// Per-column results are bit-identical to k independent Apply calls
+// (ApplyUnverified calls when the stored mode is ModeUnverified).
 func (m *Matrix) ApplyBatch(dst, x *MultiVector, workers int) error {
 	if dst.Len() != m.Rows() || x.Len() != m.Cols() {
 		return fmt.Errorf("core: SpMM dimension mismatch: dst %d, m %dx%d, x %d",
@@ -34,37 +36,38 @@ func (m *Matrix) ApplyBatch(dst, x *MultiVector, workers int) error {
 	if dst.K() != x.K() {
 		return fmt.Errorf("core: SpMM width mismatch: dst %d, x %d", dst.K(), x.K())
 	}
-	xbufs, err := decodeColumns(x, m.mode.Commits())
+	mode := m.mode
+	xbufs, err := decodeColumns(x, mode)
 	if err != nil {
 		return err
 	}
-	fullCheck := m.StartSweep()
+	fullCheck := mode.Verifies() && m.StartSweep()
 	ranges := par.Ranges(m.Rows(), workers, 8)
 	if len(ranges) <= 1 {
-		return m.spmmRange(dst, xbufs, 0, m.Rows(), fullCheck, m.mode.Commits())
+		return m.spmmRange(dst, xbufs, 0, m.Rows(), fullCheck, mode.Commits())
 	}
 	return par.Run(ranges, func(lo, hi int) error {
 		return m.spmmRange(dst, xbufs, lo, hi, fullCheck, false)
 	})
 }
 
-// decodeColumns verifies every column of x once and returns dense
-// padded decodes. The decode runs serially before any worker fan-out,
-// so corrections may be committed whenever the caller owns the operand
-// (commit follows the operator's shared discipline).
-func decodeColumns(x *MultiVector, commit bool) ([][]float64, error) {
+// decodeColumns reads every column of x once under mode and returns
+// dense padded decodes. The decode runs serially before any worker
+// fan-out, so corrections may be committed whenever the mode allows.
+func decodeColumns(x *MultiVector, mode ReadMode) ([][]float64, error) {
 	xbufs := make([][]float64, x.K())
 	blocks := x.Blocks()
 	for j := range xbufs {
 		xbufs[j] = make([]float64, blocks*vecBlock)
 		col := x.Col(j)
-		var err error
-		if commit {
-			err = col.ReadBlocksInto(0, blocks, xbufs[j])
-		} else {
-			err = col.ReadBlocksSharedInto(0, blocks, xbufs[j])
+		read := col.ReadBlocksInto
+		switch mode {
+		case ModeShared:
+			read = col.ReadBlocksSharedInto
+		case ModeUnverified:
+			read = col.ReadBlocksUnverifiedInto
 		}
-		if err != nil {
+		if err := read(0, blocks, xbufs[j]); err != nil {
 			return nil, err
 		}
 	}

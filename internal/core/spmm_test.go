@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"abft/internal/csr"
@@ -62,6 +63,23 @@ func TestWrapMultiVectorValidates(t *testing.T) {
 	}
 	if _, err := WrapMultiVector(a, NewVector(8, CRC32C)); err == nil {
 		t.Fatal("scheme mismatch accepted")
+	}
+	// A single column wraps into the vector's one cached view, also when
+	// several goroutines wrap it at once.
+	views := make([]*MultiVector, 4)
+	var wg sync.WaitGroup
+	for i := range views {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			views[i], _ = WrapMultiVector(a)
+		}(i)
+	}
+	wg.Wait()
+	for _, v := range views {
+		if v != views[0] || v.K() != 1 || v.Len() != 8 || v.Col(0) != a {
+			t.Fatal("single-column wraps do not share the vector's view")
+		}
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"sync/atomic"
 
 	"abft/internal/ecc"
 )
@@ -33,6 +34,9 @@ type Vector struct {
 	n        int      // logical length
 	words    []uint64 // padded raw storage, len multiple of vecBlock
 	counters *Counters
+	// single is the vector's one-column MultiVector view (see
+	// WrapMultiVector), built on first use.
+	single atomic.Pointer[MultiVector]
 }
 
 // NewVector returns a zero-filled protected vector of length n.

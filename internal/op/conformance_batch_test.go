@@ -1,11 +1,14 @@
-package op
+package op_test
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"testing"
 
 	"abft/internal/core"
+	"abft/internal/op"
+	"abft/internal/shard"
 )
 
 // batchRefColumns builds k deterministic, mutually distinct source
@@ -33,49 +36,85 @@ func batchMultiVector(cols [][]float64, s core.Scheme) *core.MultiVector {
 	return mv
 }
 
-// TestConformanceApplyBatchParity asserts the tentpole invariant for
-// every format x scheme pair: one batched pass over the matrix is
-// bit-identical to k independent single-RHS Apply calls, serial and
-// parallel, in exclusive and shared (no-commit) mode.
+// batchOperator builds the operator under test: a single matrix of
+// format f, or its shards-band composite.
+func batchOperator(t *testing.T, f op.Format, s core.Scheme, shards int) op.Matrix {
+	t.Helper()
+	cfg := op.Config{Scheme: s, RowPtrScheme: s}
+	var m op.Matrix
+	var err error
+	if shards > 1 {
+		m, err = shard.New(shardTestMatrix(), shard.Options{Shards: shards, Format: f, Config: cfg})
+	} else {
+		m, err = op.New(f, shardTestMatrix(), cfg)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
+// flipFirstValue flips one mid-mantissa bit of the first stored value —
+// a position every scheme protects, in an entry that is never padding.
+func flipFirstValue(m core.ProtectedMatrix) {
+	v := m.RawVals()
+	v[0] = math.Float64frombits(math.Float64bits(v[0]) ^ 1<<40)
+}
+
+// TestConformanceApplyBatchParity asserts the one-kernel invariant for
+// every format x scheme x shards combination and every read mode: one
+// batched pass over the matrix is bit-identical to k independent
+// single-column products, serial and parallel. The reference is Apply
+// in the verifying modes and ApplyUnverified under ModeUnverified,
+// where a value flip is planted first: the batch must stream it
+// undecoded exactly like ApplyUnverified and leave the counters
+// untouched.
 func TestConformanceApplyBatchParity(t *testing.T) {
 	const k = 3
-	forEachPair(t, func(t *testing.T, f Format, s core.Scheme) {
-		plain := testMatrix(t)
-		cols := batchRefColumns(plain.Cols32(), k)
-		for _, shared := range []bool{false, true} {
-			for _, workers := range []int{1, 4} {
-				m, err := New(f, plain, Config{Scheme: s, RowPtrScheme: s})
-				if err != nil {
-					t.Fatal(err)
-				}
-				m.SetShared(shared)
-				ba, ok := m.(core.BatchApplier)
-				if !ok {
-					t.Fatalf("%v does not implement core.BatchApplier", f)
-				}
-				x := batchMultiVector(cols, core.None)
-				dst := core.NewMultiVector(m.Rows(), k, core.None)
-				if err := ba.ApplyBatch(dst, x, workers); err != nil {
-					t.Fatalf("shared=%v workers=%d: %v", shared, workers, err)
-				}
-				for j := 0; j < k; j++ {
-					single := core.NewVector(m.Rows(), core.None)
-					if err := m.Apply(single, core.VectorFromSlice(cols[j], core.None), workers); err != nil {
-						t.Fatal(err)
+	modes := []core.ReadMode{core.ModeExclusive, core.ModeShared, core.ModeUnverified}
+	forEachPair(t, func(t *testing.T, f op.Format, s core.Scheme) {
+		cols := batchRefColumns(shardTestMatrix().Cols32(), k)
+		for _, shards := range []int{1, 2} {
+			for _, mode := range modes {
+				for _, workers := range []int{1, 4} {
+					label := fmt.Sprintf("shards=%d mode=%v workers=%d", shards, mode, workers)
+					m := batchOperator(t, f, s, shards)
+					var c core.Counters
+					m.SetCounters(&c)
+					m.SetReadMode(mode)
+					single := m.Apply
+					if mode == core.ModeUnverified {
+						single = m.ApplyUnverified
+						flipFirstValue(m)
 					}
-					want := make([]float64, m.Rows())
-					got := make([]float64, m.Rows())
-					if err := single.CopyTo(want); err != nil {
-						t.Fatal(err)
+					x := batchMultiVector(cols, core.SECDED64)
+					x.SetCounters(&c)
+					dst := core.NewMultiVector(m.Rows(), k, core.None)
+					before := c.Snapshot()
+					if err := m.ApplyBatch(dst, x, workers); err != nil {
+						t.Fatalf("%s: %v", label, err)
 					}
-					if err := dst.Col(j).CopyTo(got); err != nil {
-						t.Fatal(err)
+					if mode == core.ModeUnverified && c.Snapshot() != before {
+						t.Fatalf("%s: batch moved the counters: %+v -> %+v", label, before, c.Snapshot())
 					}
-					for i := range want {
-						if got[i] != want[i] {
-							t.Fatalf("shared=%v workers=%d col %d row %d: batch %x single %x",
-								shared, workers, j, i,
-								math.Float64bits(got[i]), math.Float64bits(want[i]))
+					for j := 0; j < k; j++ {
+						ref := core.NewVector(m.Rows(), core.None)
+						if err := single(ref, x.Col(j), workers); err != nil {
+							t.Fatal(err)
+						}
+						want := make([]float64, m.Rows())
+						got := make([]float64, m.Rows())
+						if err := ref.CopyTo(want); err != nil {
+							t.Fatal(err)
+						}
+						if err := dst.Col(j).CopyTo(got); err != nil {
+							t.Fatal(err)
+						}
+						for i := range want {
+							if got[i] != want[i] {
+								t.Fatalf("%s col %d row %d: batch %x single %x", label, j, i,
+									math.Float64bits(got[i]), math.Float64bits(want[i]))
+							}
 						}
 					}
 				}
@@ -92,11 +131,11 @@ func TestConformanceApplyBatchParity(t *testing.T) {
 // between the two modes, and SED detects in both.
 func TestConformanceApplyBatchFaultMidBatch(t *testing.T) {
 	const k = 3
-	forEachPair(t, func(t *testing.T, f Format, s core.Scheme) {
+	forEachPair(t, func(t *testing.T, f op.Format, s core.Scheme) {
 		if s == core.None {
 			t.Skip("baseline has no protection")
 		}
-		plain := testMatrix(t)
+		plain := shardTestMatrix()
 		cols := batchRefColumns(plain.Cols32(), k)
 		// Clean per-column references from the unprotected CSR product.
 		want := make([][]float64, k)
@@ -106,17 +145,16 @@ func TestConformanceApplyBatchFaultMidBatch(t *testing.T) {
 		}
 		counts := map[bool]uint64{}
 		for _, shared := range []bool{false, true} {
-			m, err := New(f, plain, Config{Scheme: s, RowPtrScheme: s})
-			if err != nil {
-				t.Fatal(err)
-			}
+			m := batchOperator(t, f, s, 1)
 			var c core.Counters
 			m.SetCounters(&c)
-			m.SetShared(shared)
-			flipValueBit(m)
+			if shared {
+				m.SetReadMode(core.ModeShared)
+			}
+			flipFirstValue(m)
 			x := batchMultiVector(cols, core.None)
 			dst := core.NewMultiVector(m.Rows(), k, core.None)
-			applyErr := m.(core.BatchApplier).ApplyBatch(dst, x, 1)
+			applyErr := m.ApplyBatch(dst, x, 1)
 
 			if s == core.SED {
 				var fe *core.FaultError

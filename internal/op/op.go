@@ -93,10 +93,22 @@ type Config struct {
 	Sigma int
 }
 
+// Matrix is the full product contract every format in this repository
+// and the sharded composite satisfy: the core.ProtectedMatrix plus its
+// batched and unverified products, each format's one kernel under the
+// stored mode, k columns and ModeUnverified. Code holding a Matrix
+// calls those products directly; core.ProtectedMatrix keeps them
+// optional for operators built elsewhere, which the solvers probe for.
+type Matrix interface {
+	core.ProtectedMatrix
+	core.BatchApplier
+	core.UnverifiedApplier
+}
+
 // New builds a protected matrix of the given format from an unprotected
-// CSR source. The result is used exclusively through the
-// core.ProtectedMatrix interface.
-func New(f Format, src *csr.Matrix, cfg Config) (core.ProtectedMatrix, error) {
+// CSR source. The result is used exclusively through the Matrix
+// interface.
+func New(f Format, src *csr.Matrix, cfg Config) (Matrix, error) {
 	if cfg.CheckInterval > 1 && f != CSR {
 		// Fail loudly rather than silently checking every sweep: interval
 		// measurements on a format that ignores the knob would be wrong.

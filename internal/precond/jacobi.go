@@ -22,14 +22,24 @@ type jacobiPre struct {
 	counters *core.Counters
 }
 
-func newJacobi(src *csr.Matrix, opt Options) (*jacobiPre, error) {
-	d, err := invertDiagonal(src)
-	if err != nil {
+func newJacobi(src *csr.Matrix, opt Options) (Preconditioner, error) {
+	d := make([]float64, src.Rows())
+	src.Diagonal(d)
+	return JacobiFromDiagonal(d, opt)
+}
+
+// JacobiFromDiagonal builds the protected Jacobi preconditioner from an
+// operator's main diagonal d — typically the verified extraction of
+// core.ProtectedMatrix.Diagonal, for callers that hold a protected
+// operator but not its assembly source. d is inverted in place; the
+// inverse is stored under opt.Scheme like every other setup product.
+func JacobiFromDiagonal(d []float64, opt Options) (Preconditioner, error) {
+	if err := invert(d); err != nil {
 		return nil, err
 	}
 	inv := core.VectorFromSlice(d, opt.Scheme)
 	inv.SetCRCBackend(opt.Backend)
-	return &jacobiPre{rows: src.Rows(), inv: inv, workers: opt.Workers}, nil
+	return &jacobiPre{rows: len(d), inv: inv, workers: opt.Workers}, nil
 }
 
 // Apply computes z = D^-1 r through the protected inverse diagonal.
@@ -83,11 +93,6 @@ func (p *jacobiPre) SetCounters(c *core.Counters) {
 
 // SetReadMode selects the read discipline for the protected state.
 func (p *jacobiPre) SetReadMode(mode core.ReadMode) { p.mode = mode }
-
-// SetShared is the deprecated boolean precursor of SetReadMode.
-//
-// Deprecated: use SetReadMode.
-func (p *jacobiPre) SetShared(shared bool) { p.SetReadMode(sharedMode(shared)) }
 
 // RawState exposes the protected inverse diagonal for fault injection.
 func (p *jacobiPre) RawState() []*core.Vector { return []*core.Vector{p.inv} }

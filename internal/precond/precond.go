@@ -154,11 +154,6 @@ type Preconditioner interface {
 	// Apply. ModeUnverified skips state-codeword decode entirely. Set
 	// before the preconditioner becomes visible to other goroutines.
 	SetReadMode(core.ReadMode)
-	// SetShared is the deprecated boolean precursor of SetReadMode:
-	// true maps to ModeShared, false to ModeExclusive.
-	//
-	// Deprecated: use SetReadMode.
-	SetShared(bool)
 	// RawState exposes the protected state vectors for fault
 	// injection; bits flipped in their raw storage model soft errors
 	// striking resident preconditioner memory.
@@ -211,13 +206,19 @@ func For(kind Kind, m core.ProtectedMatrix, src *csr.Matrix, opt Options) (Preco
 func invertDiagonal(src *csr.Matrix) ([]float64, error) {
 	d := make([]float64, src.Rows())
 	src.Diagonal(d)
+	return d, invert(d)
+}
+
+// invert replaces every diagonal entry by its reciprocal, rejecting a
+// zero diagonal.
+func invert(d []float64) error {
 	for i, x := range d {
 		if x == 0 {
-			return nil, fmt.Errorf("precond: zero diagonal at row %d", i)
+			return fmt.Errorf("precond: zero diagonal at row %d", i)
 		}
 		d[i] = 1 / x
 	}
-	return d, nil
+	return nil
 }
 
 // blockLen is the protected-vector codeword block (core's vecBlock):
@@ -284,14 +285,6 @@ func decode(v *core.Vector, dst []float64, mode core.ReadMode) error {
 		}
 	}
 	return nil
-}
-
-// sharedMode maps the deprecated SetShared boolean to its ReadMode.
-func sharedMode(shared bool) core.ReadMode {
-	if shared {
-		return core.ModeShared
-	}
-	return core.ModeExclusive
 }
 
 // applies is the shared Apply counter every implementation embeds.

@@ -11,7 +11,6 @@ import (
 	"abft/internal/csr"
 	"abft/internal/op"
 	"abft/internal/shard"
-	"abft/internal/solvers"
 )
 
 func testMatrix() *csr.Matrix { return csr.Laplacian2D(12, 9) }
@@ -264,7 +263,7 @@ func TestSharedModeLeavesRepairToScrub(t *testing.T) {
 			}
 			var c core.Counters
 			p.SetCounters(&c)
-			p.SetShared(true)
+			p.SetReadMode(core.ModeShared)
 			p.RawState()[0].Raw()[0] ^= 1 << 40
 
 			r := core.VectorFromSlice(refVector(src.Rows()), core.None)
@@ -301,7 +300,7 @@ func TestSGSSharedMatrixFlipCorrectedValuesUsed(t *testing.T) {
 	}
 	var c core.Counters
 	p.SetCounters(&c)
-	p.SetShared(true)
+	p.SetReadMode(core.ModeShared)
 	v := p.(*sgsPre).Matrix().RawVals()
 	v[0] = math.Float64frombits(math.Float64bits(v[0]) ^ 1<<40)
 
@@ -326,41 +325,6 @@ func TestSGSSharedMatrixFlipCorrectedValuesUsed(t *testing.T) {
 	}
 	if corrected, err := p.Scrub(); err != nil || corrected != 1 {
 		t.Fatalf("shared apply committed the repair: corrected=%d err=%v", corrected, err)
-	}
-}
-
-// TestPCGConvergesFaster: every preconditioner must cut PCG iterations
-// below plain CG on the variable-coefficient TeaLeaf-style operator.
-func TestPCGConvergesFaster(t *testing.T) {
-	src := testMatrix()
-	pm, err := op.New(op.CSR, src, op.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	a := solvers.MatrixOperator{M: pm, Workers: 1}
-	solve := func(pre Preconditioner) solvers.Result {
-		b := core.VectorFromSlice(refVector(src.Rows()), core.None)
-		x := core.NewVector(src.Rows(), core.None)
-		opt := solvers.Options{Tol: 1e-10, MaxIter: 10000}
-		if pre != nil {
-			opt.Preconditioner = pre
-		}
-		res, err := solvers.CG(a, x, b, opt)
-		if err != nil || !res.Converged {
-			t.Fatalf("solve: %v converged=%v", err, res.Converged)
-		}
-		return res
-	}
-	base := solve(nil)
-	for _, k := range []Kind{BlockJacobi, SGS} {
-		p, err := New(k, src, Options{Scheme: core.SECDED64})
-		if err != nil {
-			t.Fatal(err)
-		}
-		res := solve(p)
-		if res.Iterations >= base.Iterations {
-			t.Errorf("%v: %d iterations, plain CG %d", k, res.Iterations, base.Iterations)
-		}
 	}
 }
 

@@ -88,7 +88,7 @@ func TestApplyBatchMatchesApply(t *testing.T) {
 // TestApplyBatchSharedFallback drives the batched window sweep through
 // its corrective branch: one value-bit flip per slice in shared mode
 // makes every slice verify report dirty without committing the repair,
-// so applyWindowBatch must stream each slice through the local
+// so applyWindow must stream each slice through the local
 // per-lane decode while every column stays bit-exact against the
 // unprotected reference and the stored faults survive for the owner's
 // scrub.
@@ -105,7 +105,9 @@ func TestApplyBatchSharedFallback(t *testing.T) {
 				}
 				var c core.Counters
 				m.SetCounters(&c)
-				m.SetShared(shared)
+				if shared {
+					m.SetReadMode(core.ModeShared)
+				}
 
 				v := m.RawVals()
 				for sl := 0; sl < m.Slices(); sl++ {
@@ -125,7 +127,7 @@ func TestApplyBatchSharedFallback(t *testing.T) {
 					t.Fatal("no correction recorded for the injected flips")
 				}
 
-				m.SetShared(false)
+				m.SetReadMode(core.ModeExclusive)
 				corrected, err := m.Scrub()
 				if err != nil {
 					t.Fatalf("scrub: %v", err)

@@ -34,7 +34,9 @@ func TestSharedFallbackStreamsCorrectedValues(t *testing.T) {
 				}
 				var c core.Counters
 				m.SetCounters(&c)
-				m.SetShared(shared)
+				if shared {
+					m.SetReadMode(core.ModeShared)
+				}
 
 				// Flip one stored value bit per slice, so every slice of
 				// the sweep exercises the dirty branch (padding lanes
@@ -62,7 +64,7 @@ func TestSharedFallbackStreamsCorrectedValues(t *testing.T) {
 					}
 				}
 
-				m.SetShared(false)
+				m.SetReadMode(core.ModeExclusive)
 				corrected, err := m.Scrub()
 				if err != nil {
 					t.Fatalf("scrub: %v", err)
@@ -98,7 +100,7 @@ func TestSharedFallbackCorruptedColumn(t *testing.T) {
 			}
 			var c core.Counters
 			m.SetCounters(&c)
-			m.SetShared(true)
+			m.SetReadMode(core.ModeShared)
 
 			cols := m.RawCols()
 			k := len(cols) / 2

@@ -254,18 +254,6 @@ func (m *Matrix) SetReadMode(mode core.ReadMode) { m.mode = mode }
 // ReadMode returns the configured read discipline.
 func (m *Matrix) ReadMode() core.ReadMode { return m.mode }
 
-// SetShared is the deprecated boolean precursor of SetReadMode: true
-// maps to ModeShared, false to ModeExclusive.
-//
-// Deprecated: use SetReadMode.
-func (m *Matrix) SetShared(shared bool) {
-	if shared {
-		m.SetReadMode(core.ModeShared)
-	} else {
-		m.SetReadMode(core.ModeExclusive)
-	}
-}
-
 // CounterSnapshot returns a copy of the attached counters.
 func (m *Matrix) CounterSnapshot() core.CounterSnapshot { return m.counters.Snapshot() }
 
@@ -561,23 +549,11 @@ func (m *Matrix) ElemCodewordSpan(pick func(n int) int) (base, span, stride int)
 // SpMV computes dst = m * x serially; a convenience wrapper around Apply.
 func (m *Matrix) SpMV(dst, x *core.Vector) error { return m.Apply(dst, x, 1) }
 
-// Apply computes dst = m * x with full integrity checking. Each slice's
-// codewords are verified (and repaired) in storage order before its lanes
-// accumulate, decoded column indices are range-checked, and results are
-// committed block-wise through a window-local accumulator — the sigma
-// sort scatters a slice's outputs within its window, so the window is the
-// smallest unit whose output blocks have a single owner.
-//
-// Workers above 1 split the sigma windows across goroutines. Codewords
-// never cross a slice, slices never cross a window, and windows are
-// vector-block aligned, so every codeword and every output block has
-// exactly one owner: the parallel path is race-free and bit-identical to
-// the serial one.
+// Apply computes dst = m * x with full integrity checking under the
+// stored read mode: it is the k=1 case of the one product kernel (see
+// ApplyBatch).
 func (m *Matrix) Apply(dst, x *core.Vector, workers int) error {
-	if !m.mode.Verifies() {
-		return m.ApplyUnverified(dst, x, workers)
-	}
-	return m.apply(dst, x, workers, false)
+	return m.applyVec(dst, x, workers, m.mode)
 }
 
 // ApplyUnverified computes dst = m * x through the no-decode fast path
@@ -587,31 +563,76 @@ func (m *Matrix) Apply(dst, x *core.Vector, workers int) error {
 // can run concurrently with verified readers of the same shared
 // storage. It is the inner-solve read path of selective reliability.
 func (m *Matrix) ApplyUnverified(dst, x *core.Vector, workers int) error {
-	return m.apply(dst, x, workers, true)
+	return m.applyVec(dst, x, workers, core.ModeUnverified)
 }
 
-func (m *Matrix) apply(dst, x *core.Vector, workers int, unverified bool) error {
+// ApplyBatch computes dst = m * x for every column of x in one pass over
+// the slices under the stored read mode, satisfying core.BatchApplier.
+// Each slice's codewords are checked exactly once per window sweep and
+// then its lanes accumulate into k window-local accumulators, so the
+// matrix-side check cost is paid per pass instead of per right-hand
+// side. Per-column results are bit-identical to k independent
+// single-column products: each lane's sum runs in the same entry order
+// per column, and each column commits its own output blocks.
+func (m *Matrix) ApplyBatch(dst, x *core.MultiVector, workers int) error {
+	return m.apply(dst, x, workers, m.mode)
+}
+
+// applyVec runs the kernel over single-column views of dst and x.
+func (m *Matrix) applyVec(dst, x *core.Vector, workers int, mode core.ReadMode) error {
+	// Single-column wraps cannot fail.
+	d, _ := core.WrapMultiVector(dst)
+	xs, _ := core.WrapMultiVector(x)
+	return m.apply(d, xs, workers, mode)
+}
+
+// apply is the product kernel: dst = m * x for every column under mode.
+// Each slice's codewords are verified (and repaired) in storage order
+// before its lanes accumulate (unless mode is ModeUnverified), decoded
+// column indices are range-checked, and results are committed
+// block-wise through a window-local accumulator — the sigma sort
+// scatters a slice's outputs within its window, so the window is the
+// smallest unit whose output blocks have a single owner.
+//
+// Workers above 1 split the sigma windows across goroutines. Codewords
+// never cross a slice, slices never cross a window, and windows are
+// vector-block aligned, so every codeword and every output block has
+// exactly one owner: the parallel path is race-free and bit-identical to
+// the serial one.
+func (m *Matrix) apply(dst, x *core.MultiVector, workers int, mode core.ReadMode) error {
 	if dst.Len() != m.rows || x.Len() != m.cols {
-		return fmt.Errorf("sell: SpMV dimension mismatch: dst %d, m %dx%d, x %d",
+		return fmt.Errorf("sell: product dimension mismatch: dst %d, m %dx%d, x %d",
 			dst.Len(), m.rows, m.cols, x.Len())
 	}
-	xbuf := make([]float64, m.cols)
-	if unverified {
-		if err := x.CopyToUnverified(xbuf); err != nil {
+	if dst.K() != x.K() {
+		return fmt.Errorf("sell: product width mismatch: dst %d, x %d", dst.K(), x.K())
+	}
+	k := x.K()
+	xs := make([]float64, k*m.cols)
+	for j := 0; j < k; j++ {
+		col, buf := x.Col(j), xs[j*m.cols:(j+1)*m.cols]
+		var err error
+		if mode.Verifies() {
+			err = col.CopyTo(buf)
+		} else {
+			err = col.CopyToUnverified(buf)
+		}
+		if err != nil {
 			return err
 		}
-	} else if err := x.CopyTo(xbuf); err != nil {
-		return err
 	}
 	windows := (m.rows + m.sigma - 1) / m.sigma
 	return par.ForEach(windows, workers, 1, func(wlo, whi int) error {
-		acc := make([]float64, m.sigma)
+		// One allocation per worker: the k window accumulators and the
+		// k lane sums.
+		acc := make([]float64, k*m.sigma+k)
+		acc, sums := acc[:k*m.sigma], acc[k*m.sigma:]
 		var buf []byte
-		if m.scheme == core.CRC32C && !unverified {
+		if m.scheme == core.CRC32C && mode.Verifies() {
 			buf = make([]byte, m.maxWidth*12)
 		}
 		for w := wlo; w < whi; w++ {
-			if err := m.applyWindow(dst, xbuf, acc, buf, w, unverified); err != nil {
+			if err := m.applyWindow(dst, xs, acc, sums, buf, w, mode); err != nil {
 				return err
 			}
 		}
@@ -619,27 +640,26 @@ func (m *Matrix) apply(dst, x *core.Vector, workers int, unverified bool) error 
 	})
 }
 
-// applyWindow multiplies the slices of sigma-window w and commits the
-// window's output rows. With unverified set the slice verify is skipped
-// entirely and every slice streams through the clean path — the
-// ModeUnverified contract: masked payload plus bounds checks only.
-func (m *Matrix) applyWindow(dst *core.Vector, xbuf, acc []float64, buf []byte, w int, unverified bool) error {
+// applyWindow multiplies the slices of sigma-window w against every
+// column and commits the window's output rows per column: column c of
+// xs starts at c*cols, of acc at c*sigma. The slice verify happens once
+// regardless of the column count, and each lane streams once for all k
+// columns, its k running sums held in sums. Under ModeUnverified the
+// verify is skipped entirely and every slice streams through the clean
+// path — masked payload plus bounds checks only.
+func (m *Matrix) applyWindow(dst *core.MultiVector, xs, acc, sums []float64, buf []byte, w int, mode core.ReadMode) error {
 	base := w * m.sigma
-	top := base + m.sigma
-	if top > m.rows {
-		top = m.rows
-	}
-	for i := range acc {
-		acc[i] = 0
-	}
+	top := min(base+m.sigma, m.rows)
+	k := dst.K()
+	clear(acc)
 	mask := m.colMask()
 	slo := base / C
 	shi := (top + C - 1) / C
 	var checks uint64
 	defer func() { m.counters.AddChecks(checks) }()
 	for sl := slo; sl < shi; sl++ {
-		if m.scheme != core.None && !unverified {
-			dirty, n, err := m.checkSlice(sl, buf, m.mode.Commits())
+		if m.scheme != core.None && mode.Verifies() {
+			dirty, n, err := m.checkSlice(sl, buf, mode.Commits())
 			checks += n
 			if err != nil {
 				return err
@@ -647,47 +667,77 @@ func (m *Matrix) applyWindow(dst *core.Vector, xbuf, acc []float64, buf []byte, 
 			if dirty {
 				// Shared-mode slice whose verify found a correction it
 				// could not commit: storage still holds the raw fault, so
-				// take the corrective per-lane local decode instead of
-				// streaming storage.
-				if err := m.applySliceLocal(acc, xbuf, buf, sl, base); err != nil {
-					return err
+				// take the corrective per-lane local decode for every
+				// column instead of streaming storage. The per-column
+				// decodes repeat the uncounted local re-decode.
+				for c := 0; c < k; c++ {
+					err := m.applySliceLocal(acc[c*m.sigma:(c+1)*m.sigma], xs[c*m.cols:(c+1)*m.cols], buf, sl, base)
+					if err != nil {
+						return err
+					}
 				}
 				continue
 			}
 		}
 		width := m.sliceWidth(sl)
 		for l := 0; l < C; l++ {
-			sr := sl*C + l
-			r := m.perm[sr]
+			r := m.perm[sl*C+l]
 			if r == padRow {
 				continue
 			}
-			var sum float64
-			for j := 0; j < width; j++ {
-				k := m.entryIndex(sl, l, j)
-				col := m.colIdx[k] & mask
-				if m.scheme != core.None && col >= uint32(m.cols) {
-					m.counters.AddBounds(1)
-					return &core.BoundsError{Structure: core.StructElements, Index: k,
-						Value: col, Limit: uint32(m.cols)}
+			if k == 1 {
+				// A single column keeps its running sum in a register.
+				var sum float64
+				for j := 0; j < width; j++ {
+					e := m.entryIndex(sl, l, j)
+					col := m.colIdx[e] & mask
+					if m.scheme != core.None && col >= uint32(m.cols) {
+						return m.boundsErr(e, col)
+					}
+					sum += m.vals[e] * xs[col]
 				}
-				sum += m.vals[k] * xbuf[col]
+				acc[int(r)-base] = sum
+				continue
 			}
-			acc[int(r)-base] = sum
+			clear(sums)
+			for j := 0; j < width; j++ {
+				e := m.entryIndex(sl, l, j)
+				col := m.colIdx[e] & mask
+				if m.scheme != core.None && col >= uint32(m.cols) {
+					return m.boundsErr(e, col)
+				}
+				v := m.vals[e]
+				for c := range sums {
+					sums[c] += v * xs[c*m.cols+int(col)]
+				}
+			}
+			for c, sum := range sums {
+				acc[c*m.sigma+int(r)-base] = sum
+			}
 		}
 	}
 	var out [C]float64
-	for blk := base / C; blk*C < top; blk++ {
-		for i := 0; i < C; i++ {
-			if idx := blk*C + i; idx < m.rows {
-				out[i] = acc[idx-base]
-			} else {
-				out[i] = 0
+	for c := 0; c < k; c++ {
+		col := dst.Col(c)
+		for blk := base / C; blk*C < top; blk++ {
+			for i := 0; i < C; i++ {
+				if idx := blk*C + i; idx < m.rows {
+					out[i] = acc[c*m.sigma+idx-base]
+				} else {
+					out[i] = 0
+				}
 			}
+			col.WriteBlock(blk, &out)
 		}
-		dst.WriteBlock(blk, &out)
 	}
 	return nil
+}
+
+// boundsErr counts and reports the out-of-range column index of element e.
+func (m *Matrix) boundsErr(e int, col uint32) error {
+	m.counters.AddBounds(1)
+	return &core.BoundsError{Structure: core.StructElements, Index: e,
+		Value: col, Limit: uint32(m.cols)}
 }
 
 // applySliceLocal accumulates slice sl's lanes into acc with every
@@ -749,9 +799,7 @@ func (m *Matrix) applySliceLocal(acc, xbuf []float64, buf []byte, sl, base int) 
 				val = m.vals[k]
 			}
 			if col >= uint32(m.cols) {
-				m.counters.AddBounds(1)
-				return &core.BoundsError{Structure: core.StructElements, Index: k,
-					Value: col, Limit: uint32(m.cols)}
+				return m.boundsErr(k, col)
 			}
 			sum += val * xbuf[col]
 		}

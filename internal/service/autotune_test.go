@@ -113,23 +113,23 @@ func TestAutotunedSolveParity(t *testing.T) {
 		t.Fatalf("autotuned solve: state %v err %v %v", st.State, err, st.Error)
 	}
 	auto := st.Result
-	if auto.Autotune == nil {
+	if auto.Options == nil || auto.Options.Autotune == nil {
 		t.Fatal("unpinned request reported no autotune decision")
 	}
-	if auto.Autotune.Format == "" || auto.Autotune.Reason == "" {
-		t.Fatalf("incomplete decision: %+v", auto.Autotune)
+	if auto.Options.Autotune.Format == "" || auto.Options.Autotune.Reason == "" {
+		t.Fatalf("incomplete decision: %+v", auto.Options.Autotune)
 	}
-	if auto.Autotune.Profile.Rows != plain.Rows() || auto.Autotune.Profile.NNZ != plain.NNZ() {
-		t.Fatalf("profile does not describe the operator: %+v", auto.Autotune.Profile)
+	if auto.Options.Autotune.Profile.Rows != plain.Rows() || auto.Options.Autotune.Profile.NNZ != plain.NNZ() {
+		t.Fatalf("profile does not describe the operator: %+v", auto.Options.Autotune.Profile)
 	}
 
 	// Re-request with every tuned knob pinned explicitly.
 	pinned := SolveRequest{
 		Matrix: spec,
 		Scheme: "secded64",
-		Format: auto.Autotune.Format,
-		Shards: auto.Autotune.Shards,
-		Sigma:  auto.Autotune.Sigma,
+		Format: auto.Options.Autotune.Format,
+		Shards: auto.Options.Autotune.Shards,
+		Sigma:  auto.Options.Autotune.Sigma,
 	}
 	id2, err := s.Submit(pinned)
 	if err != nil {
@@ -139,8 +139,8 @@ func TestAutotunedSolveParity(t *testing.T) {
 	if err != nil || st2.State != StateDone {
 		t.Fatalf("pinned solve: state %v err %v %v", st2.State, err, st2.Error)
 	}
-	if st2.Result.Autotune != nil && st2.Result.Autotune.Format != "" {
-		t.Fatalf("fully pinned request still autotuned the format: %+v", st2.Result.Autotune)
+	if st2.Result.Options.Autotune != nil && st2.Result.Options.Autotune.Format != "" {
+		t.Fatalf("fully pinned request still autotuned the format: %+v", st2.Result.Options.Autotune)
 	}
 	if !st2.Result.CacheHit {
 		t.Fatal("pinned request missed the autotuned operator (cache keys diverged)")

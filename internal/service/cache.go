@@ -12,6 +12,7 @@ import (
 
 	"abft/internal/core"
 	"abft/internal/csr"
+	"abft/internal/op"
 	"abft/internal/precond"
 )
 
@@ -64,7 +65,7 @@ type cacheEntry struct {
 	// set); concurrent requests for a building operator wait on it
 	// instead of encoding a duplicate.
 	ready    chan struct{}
-	m        core.ProtectedMatrix
+	m        op.Matrix
 	buildErr error
 	// diag is the fully verified main diagonal, extracted at build time
 	// while the operator is still private: Jacobi preconditioning and
@@ -144,7 +145,7 @@ func newOperatorCache(max int, log *slog.Logger) *operatorCache {
 // preconditioner, which may be nil). The second return reports whether
 // the encode cost was amortised (a hit on a resident or
 // concurrently-building operator).
-func (c *operatorCache) get(key string, build func() (core.ProtectedMatrix, []float64, precond.Preconditioner, error)) (*cacheEntry, bool, error) {
+func (c *operatorCache) get(key string, build func() (op.Matrix, []float64, precond.Preconditioner, error)) (*cacheEntry, bool, error) {
 	c.mu.Lock()
 	if e, ok := c.entries[key]; ok {
 		c.lru.MoveToFront(e.elem)

@@ -10,10 +10,11 @@ import (
 	"abft/internal/core"
 	"abft/internal/csr"
 	"abft/internal/obs"
+	"abft/internal/op"
 	"abft/internal/precond"
 )
 
-func testOperator(t *testing.T) core.ProtectedMatrix {
+func testOperator(t *testing.T) op.Matrix {
 	t.Helper()
 	m, err := core.NewMatrix(csr.Laplacian2D(4, 4), core.MatrixOptions{ElemScheme: core.SED})
 	if err != nil {
@@ -29,7 +30,7 @@ func testOperator(t *testing.T) core.ProtectedMatrix {
 func TestCacheSingleFlight(t *testing.T) {
 	c := newOperatorCache(8, obs.NopLogger())
 	var builds atomic.Int32
-	build := func() (core.ProtectedMatrix, []float64, precond.Preconditioner, error) {
+	build := func() (op.Matrix, []float64, precond.Preconditioner, error) {
 		builds.Add(1)
 		time.Sleep(20 * time.Millisecond) // widen the window for stragglers
 		return testOperator(t), nil, nil, nil
@@ -67,7 +68,7 @@ func TestCacheSingleFlight(t *testing.T) {
 
 func TestCacheLRUEviction(t *testing.T) {
 	c := newOperatorCache(2, obs.NopLogger())
-	build := func() (core.ProtectedMatrix, []float64, precond.Preconditioner, error) {
+	build := func() (op.Matrix, []float64, precond.Preconditioner, error) {
 		return testOperator(t), nil, nil, nil
 	}
 	for i := 0; i < 3; i++ {
@@ -100,7 +101,7 @@ func TestCacheLRUEviction(t *testing.T) {
 func TestCacheBuildErrorNotCached(t *testing.T) {
 	c := newOperatorCache(2, obs.NopLogger())
 	boom := fmt.Errorf("boom")
-	if _, _, err := c.get("k", func() (core.ProtectedMatrix, []float64, precond.Preconditioner, error) { return nil, nil, nil, boom }); err != boom {
+	if _, _, err := c.get("k", func() (op.Matrix, []float64, precond.Preconditioner, error) { return nil, nil, nil, boom }); err != boom {
 		t.Fatalf("err = %v, want boom", err)
 	}
 	s := c.Stats()
@@ -108,7 +109,7 @@ func TestCacheBuildErrorNotCached(t *testing.T) {
 		t.Fatalf("stats %+v", s)
 	}
 	// The failed key is retried, not poisoned.
-	if _, hit, err := c.get("k", func() (core.ProtectedMatrix, []float64, precond.Preconditioner, error) {
+	if _, hit, err := c.get("k", func() (op.Matrix, []float64, precond.Preconditioner, error) {
 		return testOperator(t), nil, nil, nil
 	}); err != nil || hit {
 		t.Fatalf("retry: hit=%v err=%v", hit, err)

@@ -110,17 +110,13 @@ func (o cachedOperator) Apply(dst, x *core.Vector) error {
 	return o.e.m.Apply(dst, x, o.workers)
 }
 
-// ApplyUnverified forwards to the cached operator's no-decode fast path
-// when its format has one (all in-tree formats do), satisfying
-// solvers.UnverifiedOperator so a selective-reliability FGMRES can run
-// its inner SpMVs unverified against the shared entry — the capability
-// is per call, so the entry's stored read mode is never mutated under
-// concurrent solves.
+// ApplyUnverified forwards to the cached operator's no-decode fast
+// path, satisfying solvers.UnverifiedOperator so a selective-reliability
+// FGMRES can run its inner SpMVs unverified against the shared entry —
+// the mode is per call, so the entry's stored read mode is never
+// mutated under concurrent solves.
 func (o cachedOperator) ApplyUnverified(dst, x *core.Vector) error {
-	if ua, ok := o.e.m.(core.UnverifiedApplier); ok {
-		return ua.ApplyUnverified(dst, x, o.workers)
-	}
-	return o.Apply(dst, x)
+	return o.e.m.ApplyUnverified(dst, x, o.workers)
 }
 
 func (o cachedOperator) Diagonal(dst []float64) error {
@@ -152,28 +148,19 @@ func (o cachedOperator) BandRanges() [][2]int {
 	return nil
 }
 
-// ApplyBatch forwards to the cached operator's batched kernel
-// (satisfying solvers.BatchOperator, so BlockCG amortises the matrix
-// checks over the batch), with a per-column fallback for formats
-// without one.
+// ApplyBatch forwards to the cached operator's batched kernel,
+// satisfying solvers.BatchOperator, so BlockCG amortises the matrix
+// checks over the batch.
 func (o cachedOperator) ApplyBatch(dst, x *core.MultiVector) error {
-	if ba, ok := o.e.m.(core.BatchApplier); ok {
-		return ba.ApplyBatch(dst, x, o.workers)
-	}
-	for j := 0; j < x.K(); j++ {
-		if err := o.Apply(dst.Col(j), x.Col(j)); err != nil {
-			return err
-		}
-	}
-	return nil
+	return o.e.m.ApplyBatch(dst, x, o.workers)
 }
 
 // buildOperator returns the cache-miss build closure for a job's
 // operator: the protected encode, verified diagonal extraction and
 // cached-preconditioner setup, traced and observed as StageBuild.
-func (s *Server) buildOperator(j *job) func() (core.ProtectedMatrix, []float64, precond.Preconditioner, error) {
+func (s *Server) buildOperator(j *job) func() (op.Matrix, []float64, precond.Preconditioner, error) {
 	p := j.params
-	return func() (core.ProtectedMatrix, []float64, precond.Preconditioner, error) {
+	return func() (op.Matrix, []float64, precond.Preconditioner, error) {
 		endBuild := j.trace.Start(StageBuild)
 		defer func() { s.observe(StageBuild, endBuild(fmt.Sprintf("%v, %d shards", p.format, max(p.shards, 1)))) }()
 		cfg := op.Config{
@@ -182,7 +169,7 @@ func (s *Server) buildOperator(j *job) func() (core.ProtectedMatrix, []float64, 
 			Backend:      s.cfg.CRCBackend,
 			Sigma:        p.sigma,
 		}
-		var m core.ProtectedMatrix
+		var m op.Matrix
 		var err error
 		if p.shards > 1 {
 			// Row-partition the operator: each band holds its own
@@ -352,8 +339,6 @@ func (s *Server) solve(j *job) (*SolveResult, *cacheEntry, error) {
 	snap := jc.Snapshot()
 	return &SolveResult{
 		X:                    out,
-		Autotune:             j.tuned,
-		Reliability:          p.reliability.String(),
 		Options:              resolvedOptions(j),
 		Iterations:           sres.Iterations,
 		ResidualNorm:         sres.ResidualNorm,
@@ -552,8 +537,6 @@ func (s *Server) solveBatch(group []*job) ([]*SolveResult, *cacheEntry, error) {
 	for gi, j := range group {
 		snap := jcs[gi].Snapshot()
 		res := &SolveResult{
-			Autotune:             j.tuned,
-			Reliability:          p.reliability.String(),
 			Options:              resolvedOptions(j),
 			CacheHit:             hit,
 			Coalesced:            len(group) > 1,

@@ -120,7 +120,9 @@ func TestShardedApplyBatchFallback(t *testing.T) {
 				}
 				var c core.Counters
 				o.SetCounters(&c)
-				o.SetShared(shared)
+				if shared {
+					o.SetReadMode(core.ModeShared)
+				}
 
 				v := o.Shard(1).RawVals()
 				i := len(v) / 2
@@ -146,7 +148,7 @@ func TestShardedApplyBatchFallback(t *testing.T) {
 					t.Fatal("no correction recorded for the injected flip")
 				}
 
-				o.SetShared(false)
+				o.SetReadMode(core.ModeExclusive)
 				corrected, err := o.Scrub()
 				if err != nil {
 					t.Fatalf("scrub: %v", err)

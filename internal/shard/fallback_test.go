@@ -35,7 +35,9 @@ func TestShardedVerifyThenStreamFallback(t *testing.T) {
 					}
 					var c core.Counters
 					o.SetCounters(&c)
-					o.SetShared(shared)
+					if shared {
+						o.SetReadMode(core.ModeShared)
+					}
 
 					// Flip a mid-mantissa value bit in the middle of shard
 					// 1's element stream: inside a batch-verified block of
@@ -63,7 +65,7 @@ func TestShardedVerifyThenStreamFallback(t *testing.T) {
 						t.Fatal("no correction recorded for the injected flip")
 					}
 
-					o.SetShared(false)
+					o.SetReadMode(core.ModeExclusive)
 					corrected, err := o.Scrub()
 					if err != nil {
 						t.Fatalf("scrub: %v", err)

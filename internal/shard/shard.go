@@ -103,7 +103,7 @@ func Clamp(rows, shards int) int {
 // over the halo-extended column space, and persistent local vectors.
 type band struct {
 	r0, r1 int
-	m      core.ProtectedMatrix
+	m      op.Matrix
 	// haloCols are the out-of-band global columns this band's rows
 	// couple to, ascending; local column interiorPad+k holds haloCols[k].
 	haloCols []uint32
@@ -116,14 +116,19 @@ type band struct {
 
 func (b *band) rows() int { return b.r1 - b.r0 }
 
-// workspace is one in-flight Apply's set of per-band local vectors:
-// x[i] is band i's halo-extended input ([interior | pad | halo]), y[i]
-// its local product. Workspaces are pooled so concurrent Apply callers
-// (many solve jobs sharing one cached operator) never contend on
-// buffers; the primary workspace persists for the operator's lifetime
-// and is the resident memory halo fault campaigns corrupt.
+// workspace is one in-flight product's set of per-band local
+// multivectors of one width k: x[i] is band i's halo-extended input
+// ([interior | pad | halo]), y[i] its local product. pack[i] is band
+// i's staging buffer for the scatter, exchange and gather phases and
+// run[i] its halo-run read buffer, both reused across products.
+// Workspaces are pooled per width so concurrent callers (many solve
+// jobs sharing one cached operator) never contend on buffers; the
+// primary k=1 workspace persists for the operator's lifetime and is the
+// resident memory halo fault campaigns corrupt.
 type workspace struct {
-	x, y []*core.Vector
+	k         int
+	x, y      []*core.MultiVector
+	pack, run [][]float64
 }
 
 // Operator is a row-sharded protected operator. It satisfies
@@ -147,14 +152,13 @@ type Operator struct {
 	// shard-local state between phases through it). Set before sharing.
 	hook func(Phase)
 
-	// primary is the operator's resident workspace (Local exposes its
-	// vectors for fault injection); free is the LIFO pool, primary at
-	// the bottom, so a single-threaded caller always reuses it.
-	// batchFree pools ApplyBatch's multivector workspaces per width.
-	primary   *workspace
-	wsMu      sync.Mutex
-	free      []*workspace
-	batchFree map[int][]*batchWorkspace
+	// primary is the operator's resident k=1 workspace (Local exposes
+	// its vectors for fault injection); free holds one LIFO pool per
+	// width, primary at the bottom of the k=1 pool, so a
+	// single-threaded caller always reuses it.
+	primary *workspace
+	wsMu    sync.Mutex
+	free    map[int][]*workspace
 }
 
 // New partitions src into row bands and builds each band's protected
@@ -187,45 +191,48 @@ func New(src *csr.Matrix, opt Options) (*Operator, error) {
 		o.bands = append(o.bands, b)
 		o.nnz += b.m.NNZ()
 	}
-	o.primary = o.newWorkspace()
-	o.free = []*workspace{o.primary}
+	o.primary = o.newWorkspace(1)
+	o.free = map[int][]*workspace{1: {o.primary}}
 	return o, nil
 }
 
-// newWorkspace allocates per-band local vectors wired to the current
-// counters and CRC backend.
-func (o *Operator) newWorkspace() *workspace {
-	ws := &workspace{}
+// newWorkspace allocates k-column per-band local multivectors wired to
+// the current counters and CRC backend.
+func (o *Operator) newWorkspace(k int) *workspace {
+	ws := &workspace{k: k}
 	for _, b := range o.bands {
-		x := core.NewVector(b.localCols, o.opt.VectorScheme)
-		y := core.NewVector(b.rows(), o.opt.VectorScheme)
-		for _, v := range []*core.Vector{x, y} {
-			v.SetCRCBackend(o.opt.Config.Backend)
-			v.SetCounters(o.counters)
+		x := core.NewMultiVector(b.localCols, k, o.opt.VectorScheme)
+		y := core.NewMultiVector(b.rows(), k, o.opt.VectorScheme)
+		for _, mv := range []*core.MultiVector{x, y} {
+			mv.SetCRCBackend(o.opt.Config.Backend)
+			mv.SetCounters(o.counters)
 		}
 		ws.x = append(ws.x, x)
 		ws.y = append(ws.y, y)
+		ws.pack = append(ws.pack, make([]float64, max(k, packChunk)*blockLen))
+		ws.run = append(ws.run, nil)
 	}
 	return ws
 }
 
-// getWorkspace pops the most recently released workspace (the primary
-// for single-threaded callers) or allocates a fresh one when every
-// pooled workspace is held by an in-flight Apply.
-func (o *Operator) getWorkspace() *workspace {
+// getWorkspace pops the most recently released width-k workspace (the
+// primary for single-threaded k=1 callers) or allocates a fresh one
+// when every pooled workspace of that width is held by an in-flight
+// product.
+func (o *Operator) getWorkspace(k int) *workspace {
 	o.wsMu.Lock()
 	defer o.wsMu.Unlock()
-	if n := len(o.free); n > 0 {
-		ws := o.free[n-1]
-		o.free = o.free[:n-1]
+	if pool := o.free[k]; len(pool) > 0 {
+		ws := pool[len(pool)-1]
+		o.free[k] = pool[:len(pool)-1]
 		return ws
 	}
-	return o.newWorkspace()
+	return o.newWorkspace(k)
 }
 
 func (o *Operator) putWorkspace(ws *workspace) {
 	o.wsMu.Lock()
-	o.free = append(o.free, ws)
+	o.free[ws.k] = append(o.free[ws.k], ws)
 	o.wsMu.Unlock()
 }
 
@@ -331,7 +338,7 @@ func (o *Operator) Shard(i int) core.ProtectedMatrix { return o.bands[i].m }
 // into (single-threaded callers always draw the primary). Fault
 // campaigns flip bits in its raw storage to model corruption striking a
 // shard's memory between phases.
-func (o *Operator) Local(i int) *core.Vector { return o.primary.x[i] }
+func (o *Operator) Local(i int) *core.Vector { return o.primary.x[i].Col(0) }
 
 // HaloRange returns the element range [lo, hi) of shard i's halo
 // section within its local vector.
@@ -359,13 +366,7 @@ func (o *Operator) SetCounters(c *core.Counters) {
 	}
 	o.wsMu.Lock()
 	defer o.wsMu.Unlock()
-	for _, ws := range o.free {
-		for i := range o.bands {
-			ws.x[i].SetCounters(c)
-			ws.y[i].SetCounters(c)
-		}
-	}
-	for _, pool := range o.batchFree {
+	for _, pool := range o.free {
 		for _, ws := range pool {
 			for i := range o.bands {
 				ws.x[i].SetCounters(c)
@@ -387,18 +388,6 @@ func (o *Operator) SetReadMode(mode core.ReadMode) {
 
 // ReadMode returns the configured read discipline.
 func (o *Operator) ReadMode() core.ReadMode { return o.mode }
-
-// SetShared is the deprecated boolean precursor of SetReadMode: true
-// maps to ModeShared, false to ModeExclusive.
-//
-// Deprecated: use SetReadMode.
-func (o *Operator) SetShared(shared bool) {
-	if shared {
-		o.SetReadMode(core.ModeShared)
-	} else {
-		o.SetReadMode(core.ModeExclusive)
-	}
-}
 
 // CounterSnapshot returns a copy of the attached counters.
 func (o *Operator) CounterSnapshot() core.CounterSnapshot { return o.counters.Snapshot() }
@@ -431,17 +420,11 @@ func (o *Operator) fire(p Phase) {
 	}
 }
 
-// Apply computes dst = A x across all shards, satisfying
-// core.ProtectedMatrix: scatter the verified global x into the shard
-// interiors, exchange boundary entries through the protected pack path,
-// then run the per-shard protected products and gather the results.
-// workers is the total kernel goroutine budget, divided across shards
-// (each shard always gets its own goroutine).
+// Apply computes dst = A x across all shards under the stored read
+// mode, satisfying core.ProtectedMatrix: it is the k=1 case of the one
+// product pipeline (see ApplyBatch).
 func (o *Operator) Apply(dst, x *core.Vector, workers int) error {
-	if !o.mode.Verifies() {
-		return o.ApplyUnverified(dst, x, workers)
-	}
-	return o.apply(dst, x, workers, false)
+	return o.applyVec(dst, x, workers, o.mode)
 }
 
 // ApplyUnverified runs the same scatter/exchange/local-product pipeline
@@ -453,46 +436,63 @@ func (o *Operator) Apply(dst, x *core.Vector, workers int) error {
 // readers of the same cached operator. It is the inner-solve read path
 // of selective reliability.
 func (o *Operator) ApplyUnverified(dst, x *core.Vector, workers int) error {
-	return o.apply(dst, x, workers, true)
+	return o.applyVec(dst, x, workers, core.ModeUnverified)
 }
 
-func (o *Operator) apply(dst, x *core.Vector, workers int, unverified bool) error {
+// ApplyBatch computes dst = A x for every column of x across all shards
+// under the stored read mode, satisfying core.BatchApplier: the
+// pipeline runs once for the whole batch, with each shard's local
+// product delegated to its format's batched kernel, so the matrix-side
+// check cost is paid per batch rather than per right-hand side; the
+// halo runs are computed once and packed for every column. Per-column
+// results are bit-identical to k independent Apply calls.
+func (o *Operator) ApplyBatch(dst, x *core.MultiVector, workers int) error {
+	return o.apply(dst, x, workers, o.mode)
+}
+
+// applyVec runs the pipeline over single-column views of dst and x.
+func (o *Operator) applyVec(dst, x *core.Vector, workers int, mode core.ReadMode) error {
+	// Single-column wraps cannot fail.
+	d, _ := core.WrapMultiVector(dst)
+	xs, _ := core.WrapMultiVector(x)
+	return o.apply(d, xs, workers, mode)
+}
+
+// apply is the bulk-synchronous product pipeline under mode: scatter
+// the global x into the shard interiors, exchange boundary entries
+// through the protected pack path, then run the per-shard protected
+// products and gather the results. workers is the total kernel
+// goroutine budget, divided across shards (each shard always gets its
+// own goroutine). Under ModeUnverified every phase streams masked
+// payload without decoding it.
+func (o *Operator) apply(dst, x *core.MultiVector, workers int, mode core.ReadMode) error {
 	if dst.Len() != o.rows || x.Len() != o.cols {
 		return fmt.Errorf("shard: Apply dimension mismatch: dst %d, A %dx%d, x %d",
 			dst.Len(), o.rows, o.cols, x.Len())
 	}
-	ws := o.getWorkspace()
+	if dst.K() != x.K() {
+		return fmt.Errorf("shard: Apply width mismatch: dst %d, x %d", dst.K(), x.K())
+	}
+	k := x.K()
+	ws := o.getWorkspace(k)
 	defer o.putWorkspace(ws)
-	localWorkers := workers / len(o.bands)
-	if localWorkers < 1 {
-		localWorkers = 1
+	localWorkers := max(workers/len(o.bands), 1)
+	// The scatter and gather read operands this call owns, so verified
+	// reads commit repairs; the exchange reads blocks several shards
+	// may pack concurrently, so it never does.
+	own, packed := reader(core.ModeExclusive), reader(core.ModeShared)
+	if !mode.Verifies() {
+		own, packed = reader(core.ModeUnverified), reader(core.ModeUnverified)
 	}
 
-	// Scatter: each shard batch-verifies its own span of the global x
-	// (one ReadBlocksInto call per chunk instead of a per-block check
-	// loop) and re-encodes it into its local interior. Band boundaries
-	// are block-aligned, so shards never touch a shared codeword of x.
-	// Unverified pipelines stream the same spans without decoding them.
+	// Scatter: each shard batch-reads its own span of every global
+	// column, one sweep per chunk, and re-encodes it into its local
+	// interior. Band boundaries are block-aligned, so shards never touch
+	// a shared codeword of x.
 	err := o.forEachBand(func(bi int, b *band) error {
-		var buf [packChunk * blockLen]float64
-		b0 := b.r0 / blockLen
-		nb := (b.rows() + blockLen - 1) / blockLen
-		for k := 0; k < nb; k += packChunk {
-			cn := packChunk
-			if nb-k < cn {
-				cn = nb - k
-			}
-			var err error
-			if unverified {
-				err = x.ReadBlocksUnverifiedInto(b0+k, b0+k+cn, buf[:cn*blockLen])
-			} else {
-				err = x.ReadBlocksInto(b0+k, b0+k+cn, buf[:cn*blockLen])
-			}
-			if err != nil {
+		for j := 0; j < k; j++ {
+			if err := copyBand(b, ws.x[bi].Col(j), 0, x.Col(j), b.r0/blockLen, own, ws.pack[bi]); err != nil {
 				return fmt.Errorf("shard: scatter into shard %d: %w", bi, err)
-			}
-			for j := 0; j < cn; j++ {
-				ws.x[bi].WriteBlock(k+j, (*[blockLen]float64)(buf[j*blockLen:]))
 			}
 		}
 		return nil
@@ -502,42 +502,32 @@ func (o *Operator) apply(dst, x *core.Vector, workers int, unverified bool) erro
 	}
 	o.fire(PhaseScatter)
 
-	if err := o.exchange(ws, unverified); err != nil {
+	if err := o.exchange(ws, packed); err != nil {
 		return err
 	}
 	o.fire(PhaseExchange)
 
 	// Local products, gathered straight into the block-aligned global
-	// destination.
+	// destination. A single column goes through the band's own Apply
+	// (CSR bands keep their stencil-cache SpMV); wider batches through
+	// its batched kernel, whose stored mode SetReadMode keeps in step
+	// with the operator's.
 	err = o.forEachBand(func(bi int, b *band) error {
-		applyLocal := b.m.Apply
-		if unverified {
-			if ua, ok := b.m.(core.UnverifiedApplier); ok {
-				applyLocal = ua.ApplyUnverified
-			}
+		var err error
+		switch {
+		case k > 1:
+			err = b.m.ApplyBatch(ws.y[bi], ws.x[bi], localWorkers)
+		case mode.Verifies():
+			err = b.m.Apply(ws.y[bi].Col(0), ws.x[bi].Col(0), localWorkers)
+		default:
+			err = b.m.ApplyUnverified(ws.y[bi].Col(0), ws.x[bi].Col(0), localWorkers)
 		}
-		if err := applyLocal(ws.y[bi], ws.x[bi], localWorkers); err != nil {
+		if err != nil {
 			return fmt.Errorf("shard: shard %d: %w", bi, err)
 		}
-		var buf [packChunk * blockLen]float64
-		b0 := b.r0 / blockLen
-		nb := (b.rows() + blockLen - 1) / blockLen
-		for k := 0; k < nb; k += packChunk {
-			cn := packChunk
-			if nb-k < cn {
-				cn = nb - k
-			}
-			var err error
-			if unverified {
-				err = ws.y[bi].ReadBlocksUnverifiedInto(k, k+cn, buf[:cn*blockLen])
-			} else {
-				err = ws.y[bi].ReadBlocksInto(k, k+cn, buf[:cn*blockLen])
-			}
-			if err != nil {
+		for j := 0; j < k; j++ {
+			if err := copyBand(b, dst.Col(j), b.r0/blockLen, ws.y[bi].Col(j), 0, own, ws.pack[bi]); err != nil {
 				return fmt.Errorf("shard: gather from shard %d: %w", bi, err)
-			}
-			for j := 0; j < cn; j++ {
-				dst.WriteBlock(b0+k+j, (*[blockLen]float64)(buf[j*blockLen:]))
 			}
 		}
 		return nil
@@ -549,32 +539,68 @@ func (o *Operator) apply(dst, x *core.Vector, workers int, unverified bool) erro
 	return nil
 }
 
-// exchange fills every shard's halo section from the owning shards'
-// local vectors through the batched verify-then-stream pack path: the
-// ascending halo columns are split into runs owned by one shard and
-// spanning a contiguous range of source blocks, each run's blocks are
-// verified in a single ReadBlocksSharedInto call (without committing
-// repairs — several shards may read one source block concurrently), and
-// the entries are re-encoded as they land in the destination halo, so
-// corruption in either shard's memory is still caught at the boundary.
-// Unverified pipelines pack the same runs without decoding them.
-func (o *Operator) exchange(ws *workspace, unverified bool) error {
+// readFunc reads blocks [b0,b1) of v into dst under one read discipline.
+type readFunc func(v *core.Vector, b0, b1 int, dst []float64) error
+
+// reader returns mode's block-range read: verified with repairs
+// committed (ModeExclusive), verified without commit (ModeShared), or
+// streamed without decode (ModeUnverified).
+func reader(mode core.ReadMode) readFunc {
+	switch mode {
+	case core.ModeExclusive:
+		return (*core.Vector).ReadBlocksInto
+	case core.ModeShared:
+		return (*core.Vector).ReadBlocksSharedInto
+	}
+	return (*core.Vector).ReadBlocksUnverifiedInto
+}
+
+// copyBand moves band b's rows from src (starting at block sb0) into dst
+// (starting at block db0), reading packChunk blocks per call through
+// buf and re-encoding them block by block.
+func copyBand(b *band, dst *core.Vector, db0 int, src *core.Vector, sb0 int, read readFunc, buf []float64) error {
+	nb := (b.rows() + blockLen - 1) / blockLen
+	for c := 0; c < nb; c += packChunk {
+		cn := min(packChunk, nb-c)
+		if err := read(src, sb0+c, sb0+c+cn, buf[:cn*blockLen]); err != nil {
+			return err
+		}
+		for i := 0; i < cn; i++ {
+			dst.WriteBlock(db0+c+i, (*[blockLen]float64)(buf[i*blockLen:]))
+		}
+	}
+	return nil
+}
+
+// exchange fills every shard's halo sections from the owning shards'
+// local multivectors through the batched verify-then-stream pack path:
+// the ascending halo columns are split into runs owned by one shard and
+// spanning a contiguous range of source blocks, each run is computed
+// once and its blocks read in a single sweep per column (verified
+// without committing repairs under ModeShared, because several shards
+// may read one source block concurrently), and the entries are
+// re-encoded as they land in the destination halo, so corruption in
+// either shard's memory is still caught at the boundary.
+func (o *Operator) exchange(ws *workspace, read readFunc) error {
+	k := ws.k
 	return o.forEachBand(func(bi int, b *band) error {
 		n := len(b.haloCols)
 		if n == 0 {
 			return nil
 		}
-		var out [blockLen]float64
-		var src []float64
-		for k := 0; k < n; {
+		// One staging block per column, in the band's pack buffer; a
+		// block may straddle two runs.
+		outs := ws.pack[bi][:k*blockLen]
+		haloBlk := b.interiorPad / blockLen
+		for c := 0; c < n; {
 			// Grow a run: same owner, and each column's source block at
 			// most one beyond the last, so every block in [blk0, blkEnd]
 			// holds at least one needed entry — the batched read never
 			// verifies a block the per-block path would have skipped.
-			ow := o.owner(int(b.haloCols[k]))
+			ow := o.owner(int(b.haloCols[c]))
 			r0, r1 := o.bands[ow].r0, o.bands[ow].r1
-			blk0 := (int(b.haloCols[k]) - r0) / blockLen
-			end, blkEnd := k+1, blk0
+			blk0 := (int(b.haloCols[c]) - r0) / blockLen
+			end, blkEnd := c+1, blk0
 			for end < n && int(b.haloCols[end]) < r1 {
 				blk := (int(b.haloCols[end]) - r0) / blockLen
 				if blk > blkEnd+1 {
@@ -583,31 +609,32 @@ func (o *Operator) exchange(ws *workspace, unverified bool) error {
 				blkEnd = blk
 				end++
 			}
-			need := (blkEnd - blk0 + 1) * blockLen
-			if cap(src) < need {
-				src = make([]float64, need)
+			span := (blkEnd - blk0 + 1) * blockLen
+			if cap(ws.run[bi]) < span {
+				ws.run[bi] = make([]float64, span)
 			}
-			src = src[:need]
-			var err error
-			if unverified {
-				err = ws.x[ow].ReadBlocksUnverifiedInto(blk0, blkEnd+1, src)
-			} else {
-				err = ws.x[ow].ReadBlocksSharedInto(blk0, blkEnd+1, src)
-			}
-			if err != nil {
-				return fmt.Errorf("shard: pack shard %d for shard %d: %w", ow, bi, err)
-			}
-			for ; k < end; k++ {
-				lc := int(b.haloCols[k]) - r0
-				out[k%blockLen] = src[lc-blk0*blockLen]
-				if k%blockLen == blockLen-1 {
-					ws.x[bi].WriteBlock(b.interiorPad/blockLen+k/blockLen, &out)
-					out = [blockLen]float64{}
+			src := ws.run[bi][:span]
+			off := blk0*blockLen + r0
+			for j := 0; j < k; j++ {
+				if err := read(ws.x[ow].Col(j), blk0, blkEnd+1, src); err != nil {
+					return fmt.Errorf("shard: pack shard %d for shard %d: %w", ow, bi, err)
+				}
+				col, out := ws.x[bi].Col(j), (*[blockLen]float64)(outs[j*blockLen:])
+				for h := c; h < end; h++ {
+					out[h%blockLen] = src[int(b.haloCols[h])-off]
+					if h%blockLen == blockLen-1 {
+						col.WriteBlock(haloBlk+h/blockLen, out)
+					}
 				}
 			}
+			c = end
 		}
 		if n%blockLen != 0 {
-			ws.x[bi].WriteBlock(b.interiorPad/blockLen+(n-1)/blockLen, &out)
+			for j := 0; j < k; j++ {
+				out := (*[blockLen]float64)(outs[j*blockLen:])
+				clear(out[n%blockLen:])
+				ws.x[bi].Col(j).WriteBlock(haloBlk+n/blockLen, out)
+			}
 		}
 		return nil
 	})

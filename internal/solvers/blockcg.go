@@ -18,10 +18,10 @@ type BatchOperator interface {
 
 // operatorApplyBatch computes dst = A x for every column the way the
 // operator prefers: through the batched kernel when the operator (or the
-// matrix behind a MatrixOperator) provides one, otherwise one verified
-// single-RHS product per column. MatrixOperator is unwrapped the way
-// operatorDot is, so the batched path keeps honouring the solve
-// Options' worker count.
+// matrix behind a MatrixOperator, unless its stencil-cache ablation is
+// on) provides one, otherwise one verified single-RHS product per
+// column. MatrixOperator is unwrapped the way operatorDot is, so the
+// batched path keeps honouring the solve Options' worker count.
 func operatorApplyBatch(op Operator, dst, x *core.MultiVector) error {
 	if mo, ok := op.(MatrixOperator); ok {
 		if ba, ok := mo.M.(core.BatchApplier); ok && !mo.DisableCache {
@@ -264,11 +264,11 @@ func SolveBatch(kind Kind, a Operator, x, b *core.MultiVector, opt Options) (Bat
 		}
 		opt = opt.withDefaults()
 		if opt.Preconditioner == nil {
-			pre, err := NewJacobiPreconditioner(a, opt.Workers)
+			pre, err := jacobiFallback(a, x.Col(0), opt.Workers)
 			if err != nil {
 				return BatchResult{}, err
 			}
-			opt.Preconditioner = pre
+			opt.Preconditioner = columnJacobi{pre}
 		}
 		return BlockCG(a, x, b, opt)
 	default:

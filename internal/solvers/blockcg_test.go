@@ -140,3 +140,39 @@ func TestSolveBatchDispatch(t *testing.T) {
 		t.Fatalf("Solve(blockcg): %+v %v", res, err)
 	}
 }
+
+// TestSolveBatchPCGChargesEachColumn: batched PCG's fallback Jacobi
+// shares one inverse diagonal across the columns but charges each
+// application to the column it preconditions. With every column solving
+// the same system, each column's counters must read the same — column 0
+// is not charged for the others' preconditioner reads.
+func TestSolveBatchPCGChargesEachColumn(t *testing.T) {
+	const k = 3
+	a := csr.Laplacian2D(7, 6)
+	m := protect(t, a, core.SECDED64, core.SECDED64)
+	bs := make([]float64, a.Rows())
+	for i := range bs {
+		bs[i] = float64((i*13)%29) - 14
+	}
+	counters := make([]core.Counters, k)
+	xs := make([]*core.Vector, k)
+	bv := make([]*core.Vector, k)
+	for j := range xs {
+		xs[j] = core.NewVector(a.Rows(), core.SECDED64)
+		bv[j] = core.VectorFromSlice(bs, core.SECDED64)
+		xs[j].SetCounters(&counters[j])
+		bv[j].SetCounters(&counters[j])
+	}
+	op := MatrixOperator{M: m, Workers: 1}
+	if _, err := SolveBatch(KindPCG, op, mustWrap(t, xs...), mustWrap(t, bv...), Options{Tol: 1e-10}); err != nil {
+		t.Fatal(err)
+	}
+	if counters[0].Checks() == 0 {
+		t.Fatal("no checks counted")
+	}
+	for j := 1; j < k; j++ {
+		if got, want := counters[j].Checks(), counters[0].Checks(); got != want {
+			t.Errorf("column %d: %d checks, column 0 %d", j, got, want)
+		}
+	}
+}

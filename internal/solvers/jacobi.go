@@ -24,7 +24,7 @@ func Jacobi(a Operator, x, b *core.Vector, opt Options) (Result, error) {
 	}
 	w := e.w
 
-	pre, err := NewJacobiPreconditioner(a, w)
+	pre, err := jacobiFallback(a, x, w)
 	if err != nil {
 		return e.res, err
 	}
