@@ -43,6 +43,29 @@ import (
 	"abft/internal/service"
 )
 
+// Connection limits of both listeners. Headers and request bodies
+// must arrive within their deadlines, idle keep-alive connections are
+// reaped, and header blocks are capped well below the library default.
+// There is deliberately no write timeout: a ?wait=1 solve holds its
+// response open for the whole solve.
+const (
+	readHeaderTimeout = 10 * time.Second
+	readTimeout       = time.Minute
+	idleTimeout       = 2 * time.Minute
+	maxHeaderBytes    = 64 << 10
+)
+
+// newHTTPServer returns a server for h carrying the connection limits.
+func newHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		IdleTimeout:       idleTimeout,
+		MaxHeaderBytes:    maxHeaderBytes,
+	}
+}
+
 func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
@@ -116,7 +139,7 @@ func run(ctx context.Context, args []string, stdout io.Writer, ready chan<- stri
 		dmux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 		dmux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 		dmux.Handle("/debug/vars", expvar.Handler())
-		ds := &http.Server{Handler: dmux}
+		ds := newHTTPServer(dmux)
 		go ds.Serve(dln)
 		defer ds.Close()
 		if ready != nil {
@@ -125,7 +148,7 @@ func run(ctx context.Context, args []string, stdout io.Writer, ready chan<- stri
 		fmt.Fprintf(stdout, "abftd debug endpoints on %s\n", dln.Addr())
 	}
 
-	hs := &http.Server{Handler: srv}
+	hs := newHTTPServer(srv)
 	errc := make(chan error, 1)
 	go func() { errc <- hs.Serve(ln) }()
 	select {

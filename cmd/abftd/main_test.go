@@ -200,6 +200,65 @@ func TestDaemonDebugEndpoints(t *testing.T) {
 	}
 }
 
+// TestDaemonHTTPLimits checks the connection limits of both listeners:
+// the shared constructor sets every limit and no write timeout (a
+// ?wait=1 solve holds its response open), and a header block between
+// the cap and the library's 1 MB default is refused with 431 by the
+// service and the debug listener alike.
+func TestDaemonHTTPLimits(t *testing.T) {
+	hs := newHTTPServer(http.NotFoundHandler())
+	if hs.ReadHeaderTimeout <= 0 || hs.ReadTimeout <= 0 || hs.IdleTimeout <= 0 || hs.MaxHeaderBytes <= 0 {
+		t.Fatalf("missing limit: %+v", hs)
+	}
+	if hs.WriteTimeout != 0 {
+		t.Fatalf("write timeout %v would cut off waited solves", hs.WriteTimeout)
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var out syncBuffer
+	ready := make(chan string, 2)
+	errc := make(chan error, 1)
+	go func() {
+		errc <- run(ctx, []string{"-addr", "127.0.0.1:0", "-debug-addr", "127.0.0.1:0", "-scrub", "0"}, &out, ready)
+	}()
+	var addr, debugAddr string
+	for _, dst := range []*string{&addr, &debugAddr} {
+		select {
+		case *dst = <-ready:
+		case err := <-errc:
+			t.Fatalf("daemon exited early: %v", err)
+		case <-time.After(5 * time.Second):
+			t.Fatal("daemon never became ready")
+		}
+	}
+	big := strings.Repeat("x", 2*maxHeaderBytes)
+	for _, url := range []string{"http://" + addr + "/healthz", "http://" + debugAddr + "/debug/vars"} {
+		req, err := http.NewRequest(http.MethodGet, url, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set("X-Padding", big)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusRequestHeaderFieldsTooLarge {
+			t.Errorf("GET %s with a %d-byte header: status %d, want 431", url, len(big), resp.StatusCode)
+		}
+	}
+	cancel()
+	select {
+	case err := <-errc:
+		if err != nil {
+			t.Fatalf("shutdown: %v", err)
+		}
+	case <-time.After(15 * time.Second):
+		t.Fatal("daemon did not shut down")
+	}
+}
+
 func TestDaemonBadFlags(t *testing.T) {
 	var out syncBuffer
 	err := run(context.Background(), []string{"-nope"}, &out, nil)

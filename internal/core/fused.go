@@ -83,7 +83,6 @@ func FusedAxpyDot(x *Vector, alpha float64, p, r, q *Vector, opt FusedOptions) (
 	nalpha := -alpha
 	err := par.Run(ranges, func(lo, hi int) error {
 		var pv, xv, qv, rv, outX, outR [vecBlock]float64
-		commit := opt.Mode.Commits()
 		if opt.Mode.Verifies() {
 			nb := uint64(hi - lo)
 			p.counters.AddChecks(nb * p.checksPerBlock())
@@ -93,16 +92,16 @@ func FusedAxpyDot(x *Vector, alpha float64, p, r, q *Vector, opt FusedOptions) (
 		}
 		var s float64
 		for blk := lo; blk < hi; blk++ {
-			if err := readFused(p, blk, &pv, opt.Mode, commit); err != nil {
+			if err := p.readBlock(blk, &pv, opt.Mode); err != nil {
 				return err
 			}
-			if err := readFused(x, blk, &xv, opt.Mode, commit); err != nil {
+			if err := x.readBlock(blk, &xv, opt.Mode); err != nil {
 				return err
 			}
-			if err := readFused(q, blk, &qv, opt.Mode, commit); err != nil {
+			if err := q.readBlock(blk, &qv, opt.Mode); err != nil {
 				return err
 			}
-			if err := readFused(r, blk, &rv, opt.Mode, commit); err != nil {
+			if err := r.readBlock(blk, &rv, opt.Mode); err != nil {
 				return err
 			}
 			for i := range outX {
@@ -151,7 +150,6 @@ func FusedUpdateNorm(dst *Vector, alpha float64, x *Vector, beta float64, y *Vec
 	partials := make([]float64, len(ranges))
 	err := par.Run(ranges, func(lo, hi int) error {
 		var xv, yv, out [vecBlock]float64
-		commit := opt.Mode.Commits()
 		if opt.Mode.Verifies() {
 			nb := uint64(hi - lo)
 			x.counters.AddChecks(nb * x.checksPerBlock())
@@ -159,10 +157,10 @@ func FusedUpdateNorm(dst *Vector, alpha float64, x *Vector, beta float64, y *Vec
 		}
 		var s float64
 		for blk := lo; blk < hi; blk++ {
-			if err := readFused(x, blk, &xv, opt.Mode, commit); err != nil {
+			if err := x.readBlock(blk, &xv, opt.Mode); err != nil {
 				return err
 			}
-			if err := readFused(y, blk, &yv, opt.Mode, commit); err != nil {
+			if err := y.readBlock(blk, &yv, opt.Mode); err != nil {
 				return err
 			}
 			for i := range out {
@@ -190,16 +188,4 @@ func FusedUpdateNorm(dst *Vector, alpha float64, x *Vector, beta float64, y *Vec
 		return 0, err
 	}
 	return opt.reduce(partials), nil
-}
-
-// readFused reads one block under the fused kernels' mode ladder:
-// unverified streams the masked payload without decode or counter
-// traffic; the verifying modes decode and, for the exclusive owner,
-// commit corrections back to storage.
-func readFused(v *Vector, blk int, dst *[vecBlock]float64, mode ReadMode, commit bool) error {
-	if !mode.Verifies() {
-		v.ReadBlockNoCheck(blk, dst)
-		return nil
-	}
-	return v.readBlock(blk, dst, commit)
 }

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math"
 
@@ -75,7 +74,7 @@ func (m *Matrix) spmv(dst, x *Vector, opt SpMVOptions, mode ReadMode) error {
 // block size (guaranteed by par.Ranges alignment 8).
 //
 // Each row follows the verify-then-stream protocol: on checking sweeps
-// the row's element codewords are batch-verified first (verifyRowElems),
+// the row's element codewords are batch-verified first (rowVerifier),
 // then the payload streams from storage with only the column mask and
 // range check applied — no decode interleaved with the multiply. Only
 // when a correction could not be committed (a no-commit worker or a
@@ -85,23 +84,20 @@ func (m *Matrix) spmv(dst, x *Vector, opt SpMVOptions, mode ReadMode) error {
 //
 // Under ModeUnverified (fullCheck is then false) every decode is
 // stripped: the clean-stream loop runs unconditionally, the row-pointer
-// cursor runs in its no-check form and the stencil cache reads source
-// blocks through ReadBlockNoCheck. Column masks and bounds checks
-// remain — the unverified contract drops integrity checking, not memory
-// safety.
+// cursor runs in its no-check form and the stencil cache streams source
+// blocks without decode. Column masks and bounds checks remain — the
+// unverified contract drops integrity checking, not memory safety.
 func (m *Matrix) spmvRange(dst, x *Vector, lo, hi int, fullCheck bool, mode ReadMode, noCache bool) error {
-	if m.elemScheme == None && m.rowScheme == None && x.scheme == None {
+	if m.scheme == None && m.rowScheme == None && x.scheme == None {
 		return m.spmvRawRange(dst, x, lo, hi)
 	}
 	commit := mode.Commits()
 	cur := rowPtrCursor{m: m, check: fullCheck, commit: commit, group: -1}
-	cache := stencilCache{v: x, commit: commit, disabled: noCache, noverify: !mode.Verifies()}
+	cache := stencilCache{v: x, mode: mode, disabled: noCache}
 	cache.reset()
-	colMask := colMaskFor(m.elemScheme)
-	var scratch []byte
-	if m.elemScheme == CRC32C && fullCheck {
-		scratch = make([]byte, m.maxRow*12)
-	}
+	colMask := m.ColMask()
+	var rv rowVerifier
+	rv.init(m, fullCheck)
 	xRaw := x.scheme == None
 
 	var elemChecks uint64
@@ -111,9 +107,6 @@ func (m *Matrix) spmvRange(dst, x *Vector, lo, hi int, fullCheck bool, mode Read
 	}()
 
 	var out [vecBlock]float64
-	lastPair := -1
-	var dec elemDecoder
-	dec.init(m)
 	// Row r's end pointer is row r+1's start pointer: carry it across
 	// iterations so each row costs one cursor lookup, not two.
 	rlo32, err := cur.value(lo)
@@ -130,9 +123,9 @@ func (m *Matrix) spmvRange(dst, x *Vector, lo, hi int, fullCheck bool, mode Read
 		}
 		rlo, rhi := int(rlo32), int(rhi32)
 		dirty := false
-		if fullCheck && m.elemScheme != None {
+		if fullCheck && m.scheme != None {
 			var checks uint64
-			dirty, checks, err = m.verifyRowElems(r, rlo, rhi, commit, scratch, &lastPair)
+			dirty, checks, err = rv.row(r, rlo, rhi, commit)
 			elemChecks += checks
 			if err != nil {
 				return err
@@ -140,7 +133,7 @@ func (m *Matrix) spmvRange(dst, x *Vector, lo, hi int, fullCheck bool, mode Read
 		}
 		var sum float64
 		switch {
-		case m.elemScheme == None && xRaw:
+		case m.scheme == None && xRaw:
 			// Unprotected elements and source vector: the tight baseline
 			// inner loop. Indices are raw exactly as in an unprotected
 			// solver, so no range checks apply (protecting only the row
@@ -154,7 +147,7 @@ func (m *Matrix) spmvRange(dst, x *Vector, lo, hi int, fullCheck bool, mode Read
 			// row unguarded from storage.
 			for k := rlo; k < rhi; k++ {
 				col := m.colIdx[k] & colMask
-				if m.elemScheme != None && col >= uint32(m.cols) {
+				if m.scheme != None && col >= uint32(m.cols) {
 					return m.boundsErr(StructElements, k, col, uint32(m.cols))
 				}
 				var xv float64
@@ -168,29 +161,10 @@ func (m *Matrix) spmvRange(dst, x *Vector, lo, hi int, fullCheck bool, mode Read
 				}
 				sum += m.vals[k] * xv
 			}
-		case m.elemScheme == CRC32C:
-			// Dirty CRC row: the verify left the corrected row image in
-			// scratch; stream from it.
-			for j := 0; j < rhi-rlo; j++ {
-				col := binary.LittleEndian.Uint32(scratch[12*j+8:]) & eccColMask
-				if col >= uint32(m.cols) {
-					return m.boundsErr(StructElements, rlo+j, col, uint32(m.cols))
-				}
-				var xv float64
-				if xRaw {
-					xv = math.Float64frombits(x.words[col])
-				} else {
-					xv, err = cache.at(int(col))
-					if err != nil {
-						return err
-					}
-				}
-				sum += math.Float64frombits(binary.LittleEndian.Uint64(scratch[12*j:])) * xv
-			}
 		default:
-			// Dirty SECDED row: corrective per-element local decode.
+			// Dirty row: corrective per-element local decode.
 			for k := rlo; k < rhi; k++ {
-				col, val, err := dec.at(k)
+				col, val, err := rv.dec.At(k)
 				if err != nil {
 					return err
 				}
@@ -254,12 +228,11 @@ func (m *Matrix) spmvRawRange(dst, x *Vector, lo, hi int) error {
 const stencilSlots = 4
 
 type stencilCache struct {
-	v        *Vector
-	commit   bool
+	v *Vector
+	// mode is the block read discipline; ModeUnverified streams blocks
+	// with no decode, no corrections and no check accounting.
+	mode     ReadMode
 	disabled bool
-	// noverify streams blocks through ReadBlockNoCheck: no decode, no
-	// corrections, no check accounting (the ModeUnverified read path).
-	noverify bool
 	reads    uint64 // codeword checks performed (flushed by the caller)
 	clock    uint32
 	tags     [stencilSlots]int
@@ -279,12 +252,10 @@ func (c *stencilCache) at(i int) (float64, error) {
 	b := i / vecBlock
 	if c.disabled {
 		var buf [vecBlock]float64
-		if c.noverify {
-			c.v.ReadBlockNoCheck(b, &buf)
-			return buf[i%vecBlock], nil
+		if c.mode.Verifies() {
+			c.reads += c.v.checksPerBlock()
 		}
-		c.reads += c.v.checksPerBlock()
-		if err := c.v.readBlock(b, &buf, c.commit); err != nil {
+		if err := c.v.readBlock(b, &buf, c.mode); err != nil {
 			return 0, err
 		}
 		return buf[i%vecBlock], nil
@@ -300,14 +271,12 @@ func (c *stencilCache) at(i int) (float64, error) {
 			oldest = s
 		}
 	}
-	if c.noverify {
-		c.v.ReadBlockNoCheck(b, &c.data[oldest])
-	} else {
+	if c.mode.Verifies() {
 		c.reads += c.v.checksPerBlock()
-		if err := c.v.readBlock(b, &c.data[oldest], c.commit); err != nil {
-			c.tags[oldest] = -1
-			return 0, err
-		}
+	}
+	if err := c.v.readBlock(b, &c.data[oldest], c.mode); err != nil {
+		c.tags[oldest] = -1
+		return 0, err
 	}
 	c.tags[oldest] = b
 	c.age[oldest] = c.clock
@@ -326,14 +295,17 @@ func Dot(a, b *Vector, workers int) (float64, error) {
 	err := par.Run(ranges, func(lo, hi int) error {
 		var av, bv [vecBlock]float64
 		var s float64
-		commit := len(ranges) == 1
+		mode := ModeShared
+		if len(ranges) == 1 {
+			mode = ModeExclusive
+		}
 		a.counters.AddChecks(uint64(hi-lo) * a.checksPerBlock())
 		b.counters.AddChecks(uint64(hi-lo) * b.checksPerBlock())
 		for blk := lo; blk < hi; blk++ {
-			if err := a.readBlock(blk, &av, commit); err != nil {
+			if err := a.readBlock(blk, &av, mode); err != nil {
 				return err
 			}
-			if err := b.readBlock(blk, &bv, commit); err != nil {
+			if err := b.readBlock(blk, &bv, mode); err != nil {
 				return err
 			}
 			// Strict element order keeps results bit-identical to the
@@ -372,10 +344,10 @@ func Waxpby(dst *Vector, alpha float64, x *Vector, beta float64, y *Vector, work
 		x.counters.AddChecks(uint64(hi-lo) * x.checksPerBlock())
 		y.counters.AddChecks(uint64(hi-lo) * y.checksPerBlock())
 		for blk := lo; blk < hi; blk++ {
-			if err := x.readBlock(blk, &xv, true); err != nil {
+			if err := x.readBlock(blk, &xv, ModeExclusive); err != nil {
 				return err
 			}
-			if err := y.readBlock(blk, &yv, true); err != nil {
+			if err := y.readBlock(blk, &yv, ModeExclusive); err != nil {
 				return err
 			}
 			for i := range out {
@@ -417,7 +389,7 @@ func CopyBlocks(dst, src *Vector, b0, b1 int) error {
 	var buf [vecBlock]float64
 	src.counters.AddChecks(uint64(b1-b0) * src.checksPerBlock())
 	for blk := b0; blk < b1; blk++ {
-		if err := src.readBlock(blk, &buf, true); err != nil {
+		if err := src.readBlock(blk, &buf, ModeExclusive); err != nil {
 			return err
 		}
 		dst.WriteBlock(blk, &buf)

@@ -2,8 +2,9 @@ package core
 
 import "abft/internal/ecc"
 
-// Package-level SECDED codecs, one per embedded layout (DESIGN.md section
-// 2). They are immutable and shared by all protected structures.
+// Package-level SECDED codecs of the vector and row-pointer layouts
+// (DESIGN.md section 2); the element codecs live with Elements. They are
+// immutable and shared by all protected structures.
 var (
 	// codecVec64 protects one float64: check bits in mantissa bits 0..7.
 	codecVec64 = ecc.MustSECDED(64, []int{0, 1, 2, 3, 4, 5, 6, 7})
@@ -13,15 +14,6 @@ var (
 	// the second; mantissa bit 4 of the second double is protected
 	// zero-padding (all ten reserved bits are masked on use).
 	codecVec128 = ecc.MustSECDED(128, []int{0, 1, 2, 3, 4, 64, 65, 66, 67})
-
-	// codecElem64 protects one CSR element (64-bit value + 24-bit column):
-	// check bits in the top byte of the column index.
-	codecElem64 = ecc.MustSECDED(96, []int{88, 89, 90, 91, 92, 93, 94, 95})
-
-	// codecElem128 protects two CSR elements with 9 check bits split 5+4
-	// across the two spare column-index bytes; the remaining 7 spare bits
-	// are protected zero-padding.
-	codecElem128 = ecc.MustSECDED(192, []int{88, 89, 90, 91, 92, 184, 185, 186, 187})
 
 	// codecRow64 protects two row-pointer entries (28 data bits each):
 	// check bits in the top nibble of each entry.
@@ -37,7 +29,7 @@ const (
 	// sedColMask covers the 31 usable column-index bits under SED.
 	sedColMask = 0x7FFF_FFFF
 	// eccColMask covers the 24 usable column-index bits under
-	// SECDED/CRC32C element protection.
+	// SECDED/CRC32C element protection (CSR and SELL-C-sigma).
 	eccColMask = 0x00FF_FFFF
 	// rowPtrMask covers the 28 usable row-pointer bits under
 	// SECDED/CRC32C row-pointer protection.

@@ -3,7 +3,6 @@ package core
 import (
 	"encoding/binary"
 	"fmt"
-	"math"
 	"sync/atomic"
 
 	"abft/internal/csr"
@@ -36,18 +35,16 @@ type MatrixOptions struct {
 // lives in the spare bits of the integer vectors, so no precision is lost
 // and no extra memory is used.
 type Matrix struct {
-	elemScheme Scheme
+	// Elements is the protected (value, column-index) stream; a CRC32C
+	// record group is one row.
+	Elements
 	rowScheme  Scheme
-	backend    ecc.Backend
 	rows, cols int
 	nnz        int
 	maxRow     int // widest row, sizes CRC scratch buffers
 
 	rowptr []uint32 // rows+1 entries padded to a group multiple
-	colIdx []uint32
-	vals   []float64
 
-	counters *Counters
 	interval int
 	// mode is the read discipline Apply and the scanners run under; see
 	// SetReadMode.
@@ -96,16 +93,14 @@ func NewMatrix(src *csr.Matrix, opt MatrixOptions) (*Matrix, error) {
 	g := rs.RowPtrGroup()
 	padded := (rows + 1 + g - 1) / g * g
 	m := &Matrix{
-		elemScheme: es,
-		rowScheme:  rs,
-		backend:    opt.Backend,
-		rows:       rows,
-		cols:       work.Cols32(),
-		nnz:        work.NNZ(),
-		rowptr:     make([]uint32, padded),
-		colIdx:     append([]uint32(nil), work.Cols...),
-		vals:       append([]float64(nil), work.Vals...),
-		interval:   opt.CheckInterval,
+		Elements: NewElements(es, opt.Backend,
+			append([]float64(nil), work.Vals...), append([]uint32(nil), work.Cols...)),
+		rowScheme: rs,
+		rows:      rows,
+		cols:      work.Cols32(),
+		nnz:       work.NNZ(),
+		rowptr:    make([]uint32, padded),
+		interval:  opt.CheckInterval,
 	}
 	copy(m.rowptr, work.RowPtr)
 	for r := 0; r < rows; r++ {
@@ -145,16 +140,10 @@ func (m *Matrix) NNZ() int { return m.nnz }
 func (m *Matrix) MaxRowEntries() int { return m.maxRow }
 
 // ElemScheme returns the element protection scheme.
-func (m *Matrix) ElemScheme() Scheme { return m.elemScheme }
+func (m *Matrix) ElemScheme() Scheme { return m.scheme }
 
 // RowPtrScheme returns the row-pointer protection scheme.
 func (m *Matrix) RowPtrScheme() Scheme { return m.rowScheme }
-
-// SetCounters attaches a statistics accumulator (may be shared or nil).
-func (m *Matrix) SetCounters(c *Counters) { m.counters = c }
-
-// Counters returns the attached statistics accumulator, or nil.
-func (m *Matrix) Counters() *Counters { return m.counters }
 
 // SetCRCBackend selects the CRC32C implementation.
 func (m *Matrix) SetCRCBackend(b ecc.Backend) { m.backend = b }
@@ -180,13 +169,6 @@ func (m *Matrix) SetCheckInterval(n int) { m.interval = n }
 // CheckInterval returns the configured cadence.
 func (m *Matrix) CheckInterval() int { return m.interval }
 
-// RawVals exposes stored values for fault injection.
-func (m *Matrix) RawVals() []float64 { return m.vals }
-
-// RawCols exposes stored column indices (data + embedded ECC) for fault
-// injection.
-func (m *Matrix) RawCols() []uint32 { return m.colIdx }
-
 // RawRowPtr exposes the stored row-pointer entries (data + embedded ECC)
 // for fault injection.
 func (m *Matrix) RawRowPtr() []uint32 { return m.rowptr }
@@ -197,15 +179,17 @@ func (m *Matrix) RawRowPtr() []uint32 { return m.rowptr }
 func (m *Matrix) StartSweep() bool {
 	sweep := m.sweep.Add(1) - 1
 	full := m.interval <= 1 || sweep%uint64(m.interval) == 0
-	if m.elemScheme == None && m.rowScheme == None {
+	if m.scheme == None && m.rowScheme == None {
 		return false
 	}
 	return full
 }
 
-func (m *Matrix) faultErr(s Structure, sc Scheme, idx int, detail string) error {
+// rowFault counts and reports an uncorrectable fault in row-pointer
+// group g.
+func (m *Matrix) rowFault(g int, detail string) error {
 	m.counters.AddDetected(1)
-	return &FaultError{Structure: s, Scheme: sc, Index: idx, Detail: detail}
+	return &FaultError{Structure: StructRowPtr, Scheme: m.rowScheme, Index: g, Detail: detail}
 }
 
 func (m *Matrix) boundsErr(s Structure, idx int, val, limit uint32) error {
@@ -309,7 +293,7 @@ func (m *Matrix) decodeRowGroup(g int, commit bool, dst *[8]uint32) (corrected b
 	case SED:
 		r := m.rowptr[g]
 		if ecc.Parity64(uint64(r)) != 0 {
-			return false, m.faultErr(StructRowPtr, SED, g, "parity mismatch")
+			return false, m.rowFault(g, "parity mismatch")
 		}
 		dst[0] = r & sedColMask
 	case SECDED64:
@@ -323,7 +307,7 @@ func (m *Matrix) decodeRowGroup(g int, commit bool, dst *[8]uint32) (corrected b
 			}
 			m.counters.AddCorrected(1)
 		case ecc.Detected:
-			return false, m.faultErr(StructRowPtr, SECDED64, g, "secded double-bit error")
+			return false, m.rowFault(g, "secded double-bit error")
 		}
 		dst[0] = uint32(cw[0]) & rowPtrMask
 		dst[1] = uint32(cw[0]>>32) & rowPtrMask
@@ -342,7 +326,7 @@ func (m *Matrix) decodeRowGroup(g int, commit bool, dst *[8]uint32) (corrected b
 			}
 			m.counters.AddCorrected(1)
 		case ecc.Detected:
-			return false, m.faultErr(StructRowPtr, SECDED128, g, "secded double-bit error")
+			return false, m.rowFault(g, "secded double-bit error")
 		}
 		dst[0] = uint32(cw[0]) & rowPtrMask
 		dst[1] = uint32(cw[0]>>32) & rowPtrMask
@@ -357,23 +341,23 @@ func (m *Matrix) decodeRowGroup(g int, commit bool, dst *[8]uint32) (corrected b
 			stored |= (x >> 28) << (4 * uint(i))
 		}
 		if crc := ecc.Checksum(buf[:], m.backend); crc != stored {
-			flips, ok := correctCRCCodeword(buf[:], stored, crc, m.backend)
+			flips, ok := ecc.CorrectCodeword(buf[:], stored, crc)
 			if !ok {
-				return false, m.faultErr(StructRowPtr, CRC32C, g, "crc32c mismatch beyond correction depth")
+				return false, m.rowFault(g, "crc32c mismatch beyond correction depth")
 			}
 			for _, f := range flips {
-				if f.inCRC {
+				if f.InCRC {
 					if commit {
-						e[f.bit/4] ^= 1 << uint(28+f.bit%4)
+						e[f.Bit/4] ^= 1 << uint(28+f.Bit%4)
 					}
 					continue
 				}
-				if f.bit%32 >= 28 {
-					return false, m.faultErr(StructRowPtr, CRC32C, g, "crc flip located in reserved bits")
+				if f.Bit%32 >= 28 {
+					return false, m.rowFault(g, "crc flip located in reserved bits")
 				}
-				buf[f.bit/8] ^= 1 << uint(f.bit%8)
+				buf[f.Bit/8] ^= 1 << uint(f.Bit%8)
 				if commit {
-					e[f.bit/32] ^= 1 << uint(f.bit%32)
+					e[f.Bit/32] ^= 1 << uint(f.Bit%32)
 				}
 			}
 			corrected = true
@@ -449,198 +433,20 @@ func (m *Matrix) RowRange(r int) (lo, hi int, err error) {
 // ---------------------------------------------------------------------------
 // Element protection
 
-// colMaskFor returns the AND-mask isolating the data bits of a stored
-// column index.
-func colMaskFor(s Scheme) uint32 {
-	switch s {
-	case None:
-		return 0xFFFF_FFFF
-	case SED:
-		return sedColMask
-	default:
-		return eccColMask
-	}
-}
-
+// encodeElementsAll encodes every element codeword; under CRC32C each
+// row is one record group.
 func (m *Matrix) encodeElementsAll() {
-	switch m.elemScheme {
-	case None:
-	case SED:
-		for k := range m.colIdx {
-			m.encodeElemSED(k)
-		}
-	case SECDED64:
-		for k := range m.colIdx {
-			m.encodeElem64(k)
-		}
-	case SECDED128:
-		for t := 0; 2*t < len(m.colIdx); t++ {
-			m.encodeElemPair(t)
-		}
-	case CRC32C:
-		buf := make([]byte, m.maxRow*12)
-		cur := rowPtrCursor{m: m, check: false, group: -1}
-		for r := 0; r < m.rows; r++ {
-			lo, _ := cur.value(r)
-			hi, _ := cur.value(r + 1)
-			m.encodeElemRowCRC(int(lo), int(hi), buf)
-		}
+	m.EncodeEntries()
+	if m.scheme != CRC32C {
+		return
 	}
-}
-
-func (m *Matrix) encodeElemSED(k int) {
-	c := m.colIdx[k] & sedColMask
-	p := ecc.Parity64(math.Float64bits(m.vals[k]) ^ uint64(c))
-	m.colIdx[k] = c | uint32(p)<<31
-}
-
-func (m *Matrix) encodeElem64(k int) {
-	cw := ecc.Word4{math.Float64bits(m.vals[k]), uint64(m.colIdx[k] & eccColMask)}
-	codecElem64.Encode(&cw)
-	m.colIdx[k] = uint32(cw[1])
-}
-
-func (m *Matrix) encodeElemPair(t int) {
-	k := 2 * t
-	v0 := math.Float64bits(m.vals[k])
-	v1 := math.Float64bits(m.vals[k+1])
-	c0 := uint64(m.colIdx[k] & eccColMask)
-	c1 := uint64(m.colIdx[k+1] & eccColMask)
-	cw := ecc.Word4{v0, c0 | v1<<32, v1>>32 | c1<<32}
-	codecElem128.Encode(&cw)
-	m.colIdx[k] = uint32(cw[1])
-	m.colIdx[k+1] = uint32(cw[2] >> 32)
-}
-
-// encodeElemRowCRC recomputes the row checksum for entries [lo,hi).
-func (m *Matrix) encodeElemRowCRC(lo, hi int, buf []byte) {
-	n := hi - lo
-	msg := buf[:12*n]
-	for j := 0; j < n; j++ {
-		m.colIdx[lo+j] &= eccColMask
-		binary.LittleEndian.PutUint64(msg[12*j:], math.Float64bits(m.vals[lo+j]))
-		binary.LittleEndian.PutUint32(msg[12*j+8:], m.colIdx[lo+j])
+	buf := make([]byte, m.maxRow*12)
+	cur := rowPtrCursor{m: m, check: false, group: -1}
+	for r := 0; r < m.rows; r++ {
+		lo, _ := cur.value(r)
+		hi, _ := cur.value(r + 1)
+		m.EncodeGroup(int(lo), 1, int(hi-lo), buf)
 	}
-	crc := ecc.Checksum(msg, m.backend)
-	for j := 0; j < 4 && j < n; j++ {
-		m.colIdx[lo+j] |= (crc >> (8 * uint(j)) & 0xFF) << 24
-	}
-}
-
-// checkElemSED verifies element k under SED.
-func (m *Matrix) checkElemSED(k int) error {
-	if ecc.Parity64(math.Float64bits(m.vals[k])^uint64(m.colIdx[k])) != 0 {
-		return m.faultErr(StructElements, SED, k, "parity mismatch")
-	}
-	return nil
-}
-
-// checkElem64 verifies element k under SECDED64, repairing single flips
-// when commit is true. The first return reports whether a correction was
-// found — storage is stale when it was and commit was false.
-func (m *Matrix) checkElem64(k int, commit bool) (bool, error) {
-	cw := ecc.Word4{math.Float64bits(m.vals[k]), uint64(m.colIdx[k])}
-	switch res, _ := codecElem64.Check(&cw); res {
-	case ecc.Corrected:
-		if commit {
-			m.vals[k] = math.Float64frombits(cw[0])
-			m.colIdx[k] = uint32(cw[1])
-		}
-		m.counters.AddCorrected(1)
-		return true, nil
-	case ecc.Detected:
-		return false, m.faultErr(StructElements, SECDED64, k, "secded64 double-bit error")
-	}
-	return false, nil
-}
-
-// checkElemPair verifies element pair t (elements 2t and 2t+1) under
-// SECDED128. The first return reports whether a correction was found —
-// storage is stale when it was and commit was false.
-func (m *Matrix) checkElemPair(t int, commit bool) (bool, error) {
-	k := 2 * t
-	v0 := math.Float64bits(m.vals[k])
-	v1 := math.Float64bits(m.vals[k+1])
-	cw := ecc.Word4{v0, uint64(m.colIdx[k]) | v1<<32, v1>>32 | uint64(m.colIdx[k+1])<<32}
-	switch res, _ := codecElem128.Check(&cw); res {
-	case ecc.Corrected:
-		if commit {
-			m.vals[k] = math.Float64frombits(cw[0])
-			m.colIdx[k] = uint32(cw[1])
-			m.vals[k+1] = math.Float64frombits(cw[1]>>32 | cw[2]<<32)
-			m.colIdx[k+1] = uint32(cw[2] >> 32)
-		}
-		m.counters.AddCorrected(1)
-		return true, nil
-	case ecc.Detected:
-		return false, m.faultErr(StructElements, SECDED128, t, "secded128 double-bit error")
-	}
-	return false, nil
-}
-
-// checkElemRowCRC verifies the CRC codeword of the row occupying entries
-// [lo,hi); buf must hold at least 12*(hi-lo) bytes of scratch. A row whose
-// claimed width exceeds the widest real row means the row pointers
-// themselves are corrupted beyond repair; that is reported as a fault, not
-// a crash.
-//
-// On return buf[:12*(hi-lo)] always holds the *corrected* row image (the
-// 12-byte value+masked-column records the checksum covers), so a caller
-// that cannot commit a correction to shared storage can still stream the
-// repaired row from buf. The first return reports whether a correction
-// was found — storage is stale when it was and commit was false.
-func (m *Matrix) checkElemRowCRC(row, lo, hi int, buf []byte, commit bool) (bool, error) {
-	n := hi - lo
-	if n < 0 || 12*n > len(buf) || hi > len(m.colIdx) {
-		return false, m.faultErr(StructElements, CRC32C, row,
-			"row bounds exceed the widest row (corrupted row pointers)")
-	}
-	msg := buf[:12*n]
-	var stored uint32
-	for j := 0; j < n; j++ {
-		c := m.colIdx[lo+j]
-		binary.LittleEndian.PutUint64(msg[12*j:], math.Float64bits(m.vals[lo+j]))
-		binary.LittleEndian.PutUint32(msg[12*j+8:], c&eccColMask)
-		if j < 4 {
-			stored |= (c >> 24) << (8 * uint(j))
-		}
-	}
-	crc := ecc.Checksum(msg, m.backend)
-	if crc == stored {
-		return false, nil
-	}
-	flips, ok := correctCRCCodeword(msg, stored, crc, m.backend)
-	if !ok {
-		return false, m.faultErr(StructElements, CRC32C, row, "crc32c row mismatch beyond correction depth")
-	}
-	for _, f := range flips {
-		if f.inCRC {
-			// Checksum-slot flip: the data records in msg are already
-			// right, only the stored redundancy needs repair.
-			if commit {
-				m.colIdx[lo+f.bit/8] ^= 1 << uint(24+f.bit%8)
-			}
-			continue
-		}
-		elem := f.bit / 96
-		bit := f.bit % 96
-		switch {
-		case bit < 64:
-			if commit {
-				m.vals[lo+elem] = math.Float64frombits(
-					math.Float64bits(m.vals[lo+elem]) ^ 1<<uint(bit))
-			}
-		case bit < 88:
-			if commit {
-				m.colIdx[lo+elem] ^= 1 << uint(bit-64)
-			}
-		default:
-			return false, m.faultErr(StructElements, CRC32C, row, "crc flip located in reserved byte")
-		}
-		msg[f.bit/8] ^= 1 << uint(f.bit%8)
-	}
-	m.counters.AddCorrected(1)
-	return true, nil
 }
 
 // ---------------------------------------------------------------------------
@@ -671,26 +477,7 @@ func (m *Matrix) CheckAll() (corrected int, err error) {
 			record(m.checkRowGroup(g, true))
 		}
 	}
-	switch m.elemScheme {
-	case None:
-	case SED:
-		checks += uint64(len(m.colIdx))
-		for k := range m.colIdx {
-			record(m.checkElemSED(k))
-		}
-	case SECDED64:
-		checks += uint64(len(m.colIdx))
-		for k := range m.colIdx {
-			_, e := m.checkElem64(k, true)
-			record(e)
-		}
-	case SECDED128:
-		checks += uint64((len(m.colIdx) + 1) / 2)
-		for t := 0; 2*t < len(m.colIdx); t++ {
-			_, e := m.checkElemPair(t, true)
-			record(e)
-		}
-	case CRC32C:
+	if m.scheme == CRC32C {
 		checks += uint64(m.rows)
 		buf := make([]byte, m.maxRow*12)
 		cur := rowPtrCursor{m: m, check: false, group: -1}
@@ -700,10 +487,14 @@ func (m *Matrix) CheckAll() (corrected int, err error) {
 			hi, e2 := cur.value(r + 1)
 			record(e2)
 			if e == nil && e2 == nil && lo <= hi {
-				_, e3 := m.checkElemRowCRC(r, int(lo), int(hi), buf, true)
+				_, e3 := m.CheckGroup(r, int(lo), 1, int(hi-lo), buf, true)
 				record(e3)
 			}
 		}
+	} else {
+		_, n, e := m.CheckSpan(0, len(m.colIdx), true, nil)
+		checks += n
+		record(e)
 	}
 	m.counters.AddChecks(checks)
 	return int(m.counters.Corrected() - before), err
@@ -716,7 +507,7 @@ func (m *Matrix) ToCSR() (*csr.Matrix, error) {
 		return nil, err
 	}
 	entries := make([]csr.Entry, 0, m.nnz)
-	colMask := colMaskFor(m.elemScheme)
+	colMask := m.ColMask()
 	cur := rowPtrCursor{m: m, check: false, group: -1}
 	for r := 0; r < m.rows; r++ {
 		lo, err := cur.value(r)

@@ -111,29 +111,23 @@ func (mv *MultiVector) SetCRCBackend(b ecc.Backend) {
 // operator's scatter phase uses to pack one protected message carrying
 // all k columns of a block range.
 func (mv *MultiVector) ReadBlocksInto(b0, b1 int, dst []float64) error {
-	return mv.readBlocks(b0, b1, dst, true)
+	return mv.readBlocks(b0, b1, dst, ModeExclusive)
 }
 
 // ReadBlocksSharedInto is ReadBlocksInto under the no-commit discipline
 // of ReadBlockShared: corrections are used and counted but never
 // written back, so concurrent readers never race.
 func (mv *MultiVector) ReadBlocksSharedInto(b0, b1 int, dst []float64) error {
-	return mv.readBlocks(b0, b1, dst, false)
+	return mv.readBlocks(b0, b1, dst, ModeShared)
 }
 
-func (mv *MultiVector) readBlocks(b0, b1 int, dst []float64, commit bool) error {
+func (mv *MultiVector) readBlocks(b0, b1 int, dst []float64, mode ReadMode) error {
 	span := (b1 - b0) * vecBlock
 	if len(dst) < mv.k*span {
 		return fmt.Errorf("core: ReadBlocks destination too short: %d < %d", len(dst), mv.k*span)
 	}
 	for j, col := range mv.cols {
-		var err error
-		if commit {
-			err = col.ReadBlocksInto(b0, b1, dst[j*span:])
-		} else {
-			err = col.ReadBlocksSharedInto(b0, b1, dst[j*span:])
-		}
-		if err != nil {
+		if err := col.ReadBlocksModeInto(mode, b0, b1, dst[j*span:]); err != nil {
 			return err
 		}
 	}

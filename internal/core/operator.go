@@ -80,7 +80,7 @@ type ElemSpanner interface {
 // codeword, satisfying ElemSpanner: single entries under SED/SECDED64,
 // consecutive pairs under SECDED128, a whole matrix row under CRC32C.
 func (m *Matrix) ElemCodewordSpan(pick func(n int) int) (base, span, stride int) {
-	switch m.elemScheme {
+	switch m.scheme {
 	case SECDED128:
 		return pick(len(m.colIdx)/2) * 2, 2, 1
 	case CRC32C:
@@ -93,11 +93,6 @@ func (m *Matrix) ElemCodewordSpan(pick func(n int) int) (base, span, stride int)
 	return pick(len(m.colIdx)), 1, 1
 }
 
-// Scheme returns the element protection scheme, satisfying
-// ProtectedMatrix. The row-pointer vector may carry a different scheme;
-// see RowPtrScheme.
-func (m *Matrix) Scheme() Scheme { return m.elemScheme }
-
 // Apply computes dst = m x, satisfying ProtectedMatrix.
 func (m *Matrix) Apply(dst, x *Vector, workers int) error {
 	return SpMVOpts(dst, m, x, SpMVOptions{Workers: workers})
@@ -106,6 +101,3 @@ func (m *Matrix) Apply(dst, x *Vector, workers int) error {
 // Scrub verifies and repairs every codeword, satisfying ProtectedMatrix;
 // it is CheckAll under the interface's name.
 func (m *Matrix) Scrub() (corrected int, err error) { return m.CheckAll() }
-
-// CounterSnapshot returns a copy of the attached counters.
-func (m *Matrix) CounterSnapshot() CounterSnapshot { return m.counters.Snapshot() }

@@ -1,10 +1,6 @@
 package core
 
-import (
-	"encoding/binary"
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // RowScanner streams fully verified matrix rows to a caller-supplied
 // visitor: the access pattern of triangular sweeps (the symmetric
@@ -30,19 +26,15 @@ import (
 // concurrent use. Reset clears the memoisation so a new sweep
 // re-verifies state that may have been corrupted since the last one.
 type RowScanner struct {
-	m        *Matrix
-	cur      rowPtrCursor // row-pointer cursor (locally corrected decode)
-	buf      []byte       // CRC32C row scratch
-	lastPair int          // SECDED128 pair memo for verifyRowElems
-	dec      elemDecoder  // corrective fallback for dirty rows
+	m   *Matrix
+	cur rowPtrCursor // row-pointer cursor (locally corrected decode)
+	rv  rowVerifier  // element verify state and dirty-row decoder
 }
 
 // NewRowScanner returns a scanner over m's rows.
 func (m *Matrix) NewRowScanner() *RowScanner {
 	s := &RowScanner{m: m}
-	if m.elemScheme == CRC32C {
-		s.buf = make([]byte, m.maxRow*12)
-	}
+	s.rv.init(m, true)
 	s.Reset()
 	return s
 }
@@ -57,8 +49,7 @@ func (s *RowScanner) Reset() {
 		commit: s.m.mode.Commits(),
 		group:  -1,
 	}
-	s.lastPair = -1
-	s.dec.init(s.m)
+	s.rv.reset()
 }
 
 // Row verifies row r's row-pointer and element codewords and streams
@@ -86,22 +77,21 @@ func (s *RowScanner) Row(r int, fn func(col int, val float64)) error {
 	}
 	lo, hi := int(lo32), int(hi32)
 	dirty := false
-	if m.elemScheme != None && m.mode.Verifies() {
+	if m.scheme != None && m.mode.Verifies() {
 		var ec uint64
-		dirty, ec, err = m.verifyRowElems(r, lo, hi, m.mode.Commits(), s.buf, &s.lastPair)
+		dirty, ec, err = s.rv.row(r, lo, hi, m.mode.Commits())
 		checks += ec
 		if err != nil {
 			return err
 		}
 	}
-	switch {
-	case !dirty:
+	if !dirty {
 		// Unlike SpMV's raw baseline path, the range check also runs for
 		// unprotected matrices: visitors index by the column we hand
 		// them, so the check is what turns a corrupted index into a
 		// classified fault instead of a crash (paper's range-check
 		// rationale).
-		colMask := colMaskFor(m.elemScheme)
+		colMask := m.ColMask()
 		for k := lo; k < hi; k++ {
 			col := m.colIdx[k] & colMask
 			if col >= uint32(m.cols) {
@@ -109,28 +99,18 @@ func (s *RowScanner) Row(r int, fn func(col int, val float64)) error {
 			}
 			fn(int(col), m.vals[k])
 		}
-	case m.elemScheme == CRC32C:
-		// Dirty CRC row: stream the corrected row image the verify left
-		// in the scratch buffer.
-		for j := 0; j < hi-lo; j++ {
-			col := binary.LittleEndian.Uint32(s.buf[12*j+8:]) & eccColMask
-			if col >= uint32(m.cols) {
-				return m.boundsErr(StructElements, lo+j, col, uint32(m.cols))
-			}
-			fn(int(col), math.Float64frombits(binary.LittleEndian.Uint64(s.buf[12*j:])))
+		return nil
+	}
+	// Dirty row: corrective per-element local decode.
+	for k := lo; k < hi; k++ {
+		col, val, err := s.rv.dec.At(k)
+		if err != nil {
+			return err
 		}
-	default:
-		// Dirty SECDED row: corrective per-element local decode.
-		for k := lo; k < hi; k++ {
-			col, val, err := s.dec.at(k)
-			if err != nil {
-				return err
-			}
-			if col >= uint32(m.cols) {
-				return m.boundsErr(StructElements, k, col, uint32(m.cols))
-			}
-			fn(int(col), val)
+		if col >= uint32(m.cols) {
+			return m.boundsErr(StructElements, k, col, uint32(m.cols))
 		}
+		fn(int(col), val)
 	}
 	return nil
 }

@@ -1,9 +1,7 @@
 package core
 
 import (
-	"encoding/binary"
 	"fmt"
-	"math"
 
 	"abft/internal/par"
 )
@@ -59,15 +57,7 @@ func decodeColumns(x *MultiVector, mode ReadMode) ([][]float64, error) {
 	blocks := x.Blocks()
 	for j := range xbufs {
 		xbufs[j] = make([]float64, blocks*vecBlock)
-		col := x.Col(j)
-		read := col.ReadBlocksInto
-		switch mode {
-		case ModeShared:
-			read = col.ReadBlocksSharedInto
-		case ModeUnverified:
-			read = col.ReadBlocksUnverifiedInto
-		}
-		if err := read(0, blocks, xbufs[j]); err != nil {
+		if err := x.Col(j).ReadBlocksModeInto(mode, 0, blocks, xbufs[j]); err != nil {
 			return nil, err
 		}
 	}
@@ -80,16 +70,14 @@ func decodeColumns(x *MultiVector, mode ReadMode) ([][]float64, error) {
 // (row-pointer cursor, element batch verify, corrective fallbacks) is
 // identical and happens once regardless of k.
 func (m *Matrix) spmmRange(dst *MultiVector, xbufs [][]float64, lo, hi int, fullCheck, commit bool) error {
-	if m.elemScheme == None && m.rowScheme == None {
+	if m.scheme == None && m.rowScheme == None {
 		return m.spmmRawRange(dst, xbufs, lo, hi)
 	}
 	k := len(xbufs)
 	cur := rowPtrCursor{m: m, check: fullCheck, commit: commit, group: -1}
-	colMask := colMaskFor(m.elemScheme)
-	var scratch []byte
-	if m.elemScheme == CRC32C && fullCheck {
-		scratch = make([]byte, m.maxRow*12)
-	}
+	colMask := m.ColMask()
+	var rv rowVerifier
+	rv.init(m, fullCheck)
 
 	var elemChecks uint64
 	defer func() {
@@ -98,9 +86,6 @@ func (m *Matrix) spmmRange(dst *MultiVector, xbufs [][]float64, lo, hi int, full
 
 	sums := make([]float64, k)
 	outs := make([][vecBlock]float64, k)
-	lastPair := -1
-	var dec elemDecoder
-	dec.init(m)
 	rlo32, err := cur.value(lo)
 	if err != nil {
 		return err
@@ -115,9 +100,9 @@ func (m *Matrix) spmmRange(dst *MultiVector, xbufs [][]float64, lo, hi int, full
 		}
 		rlo, rhi := int(rlo32), int(rhi32)
 		dirty := false
-		if fullCheck && m.elemScheme != None {
+		if fullCheck && m.scheme != None {
 			var checks uint64
-			dirty, checks, err = m.verifyRowElems(r, rlo, rhi, commit, scratch, &lastPair)
+			dirty, checks, err = rv.row(r, rlo, rhi, commit)
 			elemChecks += checks
 			if err != nil {
 				return err
@@ -132,7 +117,7 @@ func (m *Matrix) spmmRange(dst *MultiVector, xbufs [][]float64, lo, hi int, full
 			// row unguarded from storage into all k sums.
 			for kk := rlo; kk < rhi; kk++ {
 				col := m.colIdx[kk] & colMask
-				if m.elemScheme != None && col >= uint32(m.cols) {
+				if m.scheme != None && col >= uint32(m.cols) {
 					return m.boundsErr(StructElements, kk, col, uint32(m.cols))
 				}
 				v := m.vals[kk]
@@ -140,22 +125,10 @@ func (m *Matrix) spmmRange(dst *MultiVector, xbufs [][]float64, lo, hi int, full
 					sums[j] += v * xbufs[j][col]
 				}
 			}
-		case m.elemScheme == CRC32C:
-			// Dirty CRC row: stream the corrected row image from scratch.
-			for i := 0; i < rhi-rlo; i++ {
-				col := binary.LittleEndian.Uint32(scratch[12*i+8:]) & eccColMask
-				if col >= uint32(m.cols) {
-					return m.boundsErr(StructElements, rlo+i, col, uint32(m.cols))
-				}
-				v := math.Float64frombits(binary.LittleEndian.Uint64(scratch[12*i:]))
-				for j := 0; j < k; j++ {
-					sums[j] += v * xbufs[j][col]
-				}
-			}
 		default:
-			// Dirty SECDED row: corrective per-element local decode.
+			// Dirty row: corrective per-element local decode.
 			for kk := rlo; kk < rhi; kk++ {
-				col, v, err := dec.at(kk)
+				col, v, err := rv.dec.At(kk)
 				if err != nil {
 					return err
 				}

@@ -163,15 +163,22 @@ func (v *Vector) WriteBlock(b int, src *[vecBlock]float64) {
 // uncorrectable error dst is left in an unspecified state and a
 // *FaultError is returned.
 func (v *Vector) ReadBlock(b int, dst *[vecBlock]float64) error {
-	return v.readBlock(b, dst, true)
+	return v.readBlock(b, dst, ModeExclusive)
 }
 
-// readBlock is ReadBlock with control over whether corrections are written
-// back to storage. Parallel kernels read shared vectors with commit=false
-// so that only the owning goroutine ever writes a block; the corrected
-// values are still used for computation and the stored fault is repaired
-// by the next serial check.
-func (v *Vector) readBlock(b int, dst *[vecBlock]float64, commit bool) error {
+// readBlock is ReadBlock under an explicit read mode, the one place a
+// ReadMode becomes a block read. Parallel kernels read shared vectors
+// under ModeShared so that only the owning goroutine ever writes a
+// block; the corrected values are still used for computation and the
+// stored fault is repaired by the next serial check. ModeUnverified
+// streams the masked payload (ReadBlockNoCheck). It counts no checks;
+// callers batch those.
+func (v *Vector) readBlock(b int, dst *[vecBlock]float64, mode ReadMode) error {
+	if mode == ModeUnverified {
+		v.ReadBlockNoCheck(b, dst)
+		return nil
+	}
+	commit := mode == ModeExclusive
 	base := b * vecBlock
 	w := v.words[base : base+vecBlock : base+vecBlock]
 	switch v.scheme {
@@ -230,7 +237,7 @@ func (v *Vector) readBlock(b int, dst *[vecBlock]float64, commit bool) error {
 		}
 		crc := ecc.Checksum(buf[:], v.backend)
 		if crc != stored {
-			if !correctCRCVecBlock(&lw, buf[:], stored, crc, v.backend) {
+			if !correctCRCVecBlock(&lw, buf[:], stored, crc) {
 				return v.faultErr(b, "crc32c mismatch beyond correction depth")
 			}
 			v.counters.AddCorrected(1)
@@ -251,19 +258,19 @@ func (v *Vector) readBlock(b int, dst *[vecBlock]float64, commit bool) error {
 // CRC32C-protected block: up to two flips in the message bits, the stored
 // checksum bits, or one of each. On success the words are repaired and it
 // returns true.
-func correctCRCVecBlock(w *[vecBlock]uint64, msg []byte, stored, computed uint32, backend ecc.Backend) bool {
-	flips, ok := correctCRCCodeword(msg, stored, computed, backend)
+func correctCRCVecBlock(w *[vecBlock]uint64, msg []byte, stored, computed uint32) bool {
+	flips, ok := ecc.CorrectCodeword(msg, stored, computed)
 	if !ok {
 		return false
 	}
 	for _, f := range flips {
-		if f.inCRC {
+		if f.InCRC {
 			// Checksum slot flip: bit k of the CRC lives in bit k%8 of
 			// word k/8's reserved byte.
-			w[f.bit/8] ^= 1 << uint(f.bit%8)
+			w[f.Bit/8] ^= 1 << uint(f.Bit%8)
 		} else {
-			word := f.bit / 64
-			bit := f.bit % 64
+			word := f.Bit / 64
+			bit := f.Bit % 64
 			if bit < 8 {
 				return false // message flips cannot land in reserved bytes
 			}
@@ -281,60 +288,52 @@ func correctCRCVecBlock(w *[vecBlock]uint64, msg []byte, stored, computed uint32
 // clear. The sharded operator's halo exchange packs neighbour data
 // through this path.
 func (v *Vector) ReadBlockShared(b int, dst *[vecBlock]float64) error {
-	return v.readBlock(b, dst, false)
+	return v.readBlock(b, dst, ModeShared)
 }
 
-// ReadBlocksInto verifies blocks [b0,b1) and stores their masked values
-// into dst, which must hold at least (b1-b0)*4 elements. It is the
-// block-verified sweep primitive: one call verifies a whole contiguous
-// span and batches the check accounting into the counters once, instead
-// of per-block atomic updates. Corrections are committed to storage.
-// Callers that sweep many consecutive blocks (preconditioner decodes,
-// halo packing) use it in place of per-block ReadBlock loops.
-func (v *Vector) ReadBlocksInto(b0, b1 int, dst []float64) error {
-	return v.readBlocks(b0, b1, dst, true)
-}
-
-// ReadBlocksSharedInto is ReadBlocksInto under the no-commit discipline
-// of ReadBlockShared: corrections are used for the returned values (and
-// counted) but never written back, so concurrent readers never race.
-func (v *Vector) ReadBlocksSharedInto(b0, b1 int, dst []float64) error {
-	return v.readBlocks(b0, b1, dst, false)
-}
-
-func (v *Vector) readBlocks(b0, b1 int, dst []float64, commit bool) error {
+// ReadBlocksModeInto reads blocks [b0,b1) under mode and stores their
+// masked values into dst, which must hold at least (b1-b0)*4 elements.
+// It is the block-range sweep primitive behind every mode-driven read
+// (preconditioner decodes, halo packing, batched column decodes): one
+// call reads a whole contiguous span and batches the check accounting
+// into the counters once, instead of per-block atomic updates.
+// ModeExclusive commits corrections to storage; ModeShared uses and
+// counts them but never writes back, so concurrent readers never race;
+// ModeUnverified streams the masked payload with no decode, no commit
+// and no counter traffic. Range and length errors are reported in every
+// mode — the unverified contract drops integrity checks, not memory
+// safety.
+func (v *Vector) ReadBlocksModeInto(mode ReadMode, b0, b1 int, dst []float64) error {
 	if b0 < 0 || b1 > v.Blocks() || b0 > b1 {
 		return fmt.Errorf("core: block range [%d,%d) out of range [0,%d)", b0, b1, v.Blocks())
 	}
 	if len(dst) < (b1-b0)*vecBlock {
 		return fmt.Errorf("core: ReadBlocks destination too short: %d < %d", len(dst), (b1-b0)*vecBlock)
 	}
-	v.counters.AddChecks(uint64(b1-b0) * v.checksPerBlock())
+	if mode.Verifies() {
+		v.counters.AddChecks(uint64(b1-b0) * v.checksPerBlock())
+	}
 	for b := b0; b < b1; b++ {
-		if err := v.readBlock(b, (*[vecBlock]float64)(dst[(b-b0)*vecBlock:]), commit); err != nil {
+		if err := v.readBlock(b, (*[vecBlock]float64)(dst[(b-b0)*vecBlock:]), mode); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// ReadBlocksUnverifiedInto streams the masked payload of blocks [b0,b1)
-// into dst with no codeword decode at all: ModeUnverified's block-sweep
-// primitive. Range and length errors are still reported — the unverified
-// contract drops integrity checks, not memory safety — but nothing is
-// verified, nothing is committed, and the check counters are untouched,
-// so concurrent verified readers of the same storage never race with it.
+// ReadBlocksInto is ReadBlocksModeInto under ModeExclusive.
+func (v *Vector) ReadBlocksInto(b0, b1 int, dst []float64) error {
+	return v.ReadBlocksModeInto(ModeExclusive, b0, b1, dst)
+}
+
+// ReadBlocksSharedInto is ReadBlocksModeInto under ModeShared.
+func (v *Vector) ReadBlocksSharedInto(b0, b1 int, dst []float64) error {
+	return v.ReadBlocksModeInto(ModeShared, b0, b1, dst)
+}
+
+// ReadBlocksUnverifiedInto is ReadBlocksModeInto under ModeUnverified.
 func (v *Vector) ReadBlocksUnverifiedInto(b0, b1 int, dst []float64) error {
-	if b0 < 0 || b1 > v.Blocks() || b0 > b1 {
-		return fmt.Errorf("core: block range [%d,%d) out of range [0,%d)", b0, b1, v.Blocks())
-	}
-	if len(dst) < (b1-b0)*vecBlock {
-		return fmt.Errorf("core: ReadBlocks destination too short: %d < %d", len(dst), (b1-b0)*vecBlock)
-	}
-	for b := b0; b < b1; b++ {
-		v.ReadBlockNoCheck(b, (*[vecBlock]float64)(dst[(b-b0)*vecBlock:]))
-	}
-	return nil
+	return v.ReadBlocksModeInto(ModeUnverified, b0, b1, dst)
 }
 
 // ReadBlockNoCheck returns the masked values of block b without integrity

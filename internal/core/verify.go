@@ -1,135 +1,44 @@
 package core
 
-import (
-	"math"
-
-	"abft/internal/ecc"
-)
-
-// verifyRowElems batch-verifies the element codewords covering entries
-// [lo,hi) of row r in one tight per-scheme pass, the first half of the
-// verify-then-stream protocol: when the row verifies clean (or every
-// correction was committed to storage), the caller may stream the row's
-// values and masked column indices straight from storage with no
-// per-element decode.
-//
-// dirty reports that a correction was found but could not be committed
-// (commit=false): storage still holds the raw fault and the caller must
-// fall back to a corrective per-element decode (elemDecoder, or the
-// corrected CRC row image left in scratch) instead of streaming storage.
-//
-// scratch is the CRC32C row buffer (>= 12*(hi-lo) bytes, unused by other
-// schemes). lastPair memoises the last verified SECDED128 pair across
-// consecutive rows so a codeword straddling a row boundary is checked
-// once; a straddling pair whose correction was not committed is left
-// unmemoised so the next row re-verifies it and falls back too.
-//
-// checks counts the codeword verifications performed; the caller batches
-// it into the counters.
-func (m *Matrix) verifyRowElems(r, lo, hi int, commit bool, scratch []byte, lastPair *int) (dirty bool, checks uint64, err error) {
-	switch m.elemScheme {
-	case None:
-	case SED:
-		for k := lo; k < hi; k++ {
-			checks++
-			if err := m.checkElemSED(k); err != nil {
-				return false, checks, err
-			}
-		}
-	case SECDED64:
-		for k := lo; k < hi; k++ {
-			checks++
-			corrected, err := m.checkElem64(k, commit)
-			if err != nil {
-				return false, checks, err
-			}
-			if corrected && !commit {
-				dirty = true
-			}
-		}
-	case SECDED128:
-		if hi > lo {
-			t0, last := lo/2, (hi-1)/2
-			if t0 == *lastPair {
-				t0++
-			}
-			memoLast := true
-			for t := t0; t <= last; t++ {
-				checks++
-				corrected, err := m.checkElemPair(t, commit)
-				if err != nil {
-					return false, checks, err
-				}
-				if corrected && !commit {
-					dirty = true
-					if t == last {
-						memoLast = false
-					}
-				}
-			}
-			if memoLast {
-				*lastPair = last
-			}
-		}
-	case CRC32C:
-		checks++
-		corrected, err := m.checkElemRowCRC(r, lo, hi, scratch, commit)
-		if err != nil {
-			return false, checks, err
-		}
-		if corrected && !commit {
-			dirty = true
-		}
-	}
-	return dirty, checks, nil
-}
-
-// elemDecoder is the corrective fallback of the verify-then-stream
-// protocol for the per-element schemes: when a batch verify reports a
-// row dirty, each element is decoded into decoder-local state with the
-// correction applied there, never touching shared storage — the
-// matrix-element analogue of Vector.ReadBlockShared. The verify pass
-// that flagged the row already accounted the checks and corrections, so
-// the decoder counts nothing.
-type elemDecoder struct {
+// rowVerifier is the per-sweep state of CSR row verification, the first
+// half of the verify-then-stream protocol: the CRC32C row image, the
+// SECDED128 straddle memo and the corrective decoder a dirty row falls
+// back to. When a row verifies clean (or every correction was committed
+// to storage) the caller streams its values and masked column indices
+// straight from storage with no per-element decode; when it is dirty —
+// a correction was found but could not be committed, so storage still
+// holds the raw fault — the caller decodes it through dec instead.
+type rowVerifier struct {
 	m        *Matrix
-	lastPair int // SECDED128 pair held in pairVals/pairCols
-	pairVals [2]float64
-	pairCols [2]uint32
+	buf      []byte // CRC32C row image; nil when rows are not verified
+	lastPair int    // SECDED128 memo, see Elements.CheckSpan
+	dec      ElemDecoder
 }
 
-func (d *elemDecoder) init(m *Matrix) {
-	d.m = m
-	d.lastPair = -1
-}
-
-// at returns the locally corrected (masked column, value) of element k.
-func (d *elemDecoder) at(k int) (uint32, float64, error) {
-	m := d.m
-	switch m.elemScheme {
-	case SECDED64:
-		cw := ecc.Word4{math.Float64bits(m.vals[k]), uint64(m.colIdx[k])}
-		if res, _ := codecElem64.Check(&cw); res == ecc.Detected {
-			return 0, 0, m.faultErr(StructElements, SECDED64, k, "secded64 double-bit error")
-		}
-		return uint32(cw[1]) & eccColMask, math.Float64frombits(cw[0]), nil
-	case SECDED128:
-		if t := k / 2; t != d.lastPair {
-			v0 := math.Float64bits(m.vals[2*t])
-			v1 := math.Float64bits(m.vals[2*t+1])
-			cw := ecc.Word4{v0, uint64(m.colIdx[2*t]) | v1<<32, v1>>32 | uint64(m.colIdx[2*t+1])<<32}
-			if res, _ := codecElem128.Check(&cw); res == ecc.Detected {
-				return 0, 0, m.faultErr(StructElements, SECDED128, t, "secded128 double-bit error")
-			}
-			d.pairVals[0] = math.Float64frombits(cw[0])
-			d.pairCols[0] = uint32(cw[1]) & eccColMask
-			d.pairVals[1] = math.Float64frombits(cw[1]>>32 | cw[2]<<32)
-			d.pairCols[1] = uint32(cw[2]>>32) & eccColMask
-			d.lastPair = t
-		}
-		return d.pairCols[k%2], d.pairVals[k%2], nil
+// init binds the verifier to m; verify allocates the CRC32C row image.
+func (v *rowVerifier) init(m *Matrix, verify bool) {
+	v.m = m
+	if verify && m.scheme == CRC32C {
+		v.buf = make([]byte, m.maxRow*12)
 	}
-	// None and SED never correct (nothing to fall back for); CRC32C dirty
-	// rows stream from the scratch image instead of coming here.
-	return m.colIdx[k] & colMaskFor(m.elemScheme), m.vals[k], nil
+	v.reset()
+}
+
+// reset forgets the memoised and decoded state, starting a fresh sweep.
+func (v *rowVerifier) reset() {
+	v.lastPair = -1
+	v.dec.Reset(&v.m.Elements)
+}
+
+// row batch-verifies the element codewords of row r, entries [lo,hi),
+// repairing storage when commit is true. checks counts the codeword
+// verifications performed; the caller batches it into the counters.
+func (v *rowVerifier) row(r, lo, hi int, commit bool) (dirty bool, checks uint64, err error) {
+	m := v.m
+	if m.scheme != CRC32C {
+		return m.CheckSpan(lo, hi, commit, &v.lastPair)
+	}
+	corrected, err := m.CheckGroup(r, lo, 1, hi-lo, v.buf, commit)
+	v.dec.Group(v.buf, lo, 1)
+	return corrected && !commit, 1, err
 }

@@ -25,52 +25,91 @@ import (
 	"abft/internal/csr"
 )
 
-// Read parses a MatrixMarket coordinate stream into an unprotected CSR
-// matrix. Real and integer fields are accepted; pattern entries get
-// value 1. Symmetric matrices are expanded to general storage.
-func Read(r io.Reader) (*csr.Matrix, error) {
+// header is the banner and size line of a MatrixMarket document.
+type header struct {
+	field           string
+	symmetric       bool
+	rows, cols, nnz int
+}
+
+// newScanner returns the line scanner both readers use.
+func newScanner(r io.Reader) *bufio.Scanner {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
+	return sc
+}
+
+// readHeader parses the banner and the size line, skipping comments.
+// The declared sizes are untrusted: dimensions must be positive and the
+// entry count non-negative, and nothing is allocated from them here.
+func readHeader(sc *bufio.Scanner) (header, error) {
+	var h header
 	if !sc.Scan() {
-		return nil, fmt.Errorf("mm: empty MatrixMarket input")
+		return h, fmt.Errorf("mm: empty MatrixMarket input")
 	}
-	header := strings.Fields(strings.ToLower(sc.Text()))
-	if len(header) < 4 || header[0] != "%%matrixmarket" || header[1] != "matrix" {
-		return nil, fmt.Errorf("mm: not a MatrixMarket file: %q", sc.Text())
+	banner := strings.Fields(strings.ToLower(sc.Text()))
+	if len(banner) < 4 || banner[0] != "%%matrixmarket" || banner[1] != "matrix" {
+		return h, fmt.Errorf("mm: not a MatrixMarket file: %q", sc.Text())
 	}
-	if header[2] != "coordinate" {
-		return nil, fmt.Errorf("mm: only coordinate format supported, got %q", header[2])
+	if banner[2] != "coordinate" {
+		return h, fmt.Errorf("mm: only coordinate format supported, got %q", banner[2])
 	}
-	field := header[3]
-	symmetric := false
-	if len(header) > 4 {
-		switch header[4] {
+	h.field = banner[3]
+	if len(banner) > 4 {
+		switch banner[4] {
 		case "general":
 		case "symmetric":
-			symmetric = true
+			h.symmetric = true
 		default:
-			return nil, fmt.Errorf("mm: unsupported symmetry %q", header[4])
+			return h, fmt.Errorf("mm: unsupported symmetry %q", banner[4])
 		}
 	}
-	switch field {
+	switch h.field {
 	case "real", "integer", "pattern":
 	default:
-		return nil, fmt.Errorf("mm: unsupported field type %q", field)
+		return h, fmt.Errorf("mm: unsupported field type %q", h.field)
 	}
-
-	// Skip comments, read the size line.
-	var rows, cols, nnz int
 	for sc.Scan() {
 		line := strings.TrimSpace(sc.Text())
 		if line == "" || strings.HasPrefix(line, "%") {
 			continue
 		}
-		if _, err := fmt.Sscan(line, &rows, &cols, &nnz); err != nil {
-			return nil, fmt.Errorf("mm: bad size line %q: %w", line, err)
+		if _, err := fmt.Sscan(line, &h.rows, &h.cols, &h.nnz); err != nil {
+			return h, fmt.Errorf("mm: bad size line %q: %w", line, err)
 		}
-		break
+		if h.rows < 1 || h.cols < 1 || h.nnz < 0 {
+			return h, fmt.Errorf("mm: invalid size line %q: need rows, cols >= 1 and entries >= 0", line)
+		}
+		return h, nil
 	}
-	entries := make([]csr.Entry, 0, nnz)
+	if err := sc.Err(); err != nil {
+		return h, err
+	}
+	return h, fmt.Errorf("mm: missing size line")
+}
+
+// Size parses only the banner and size line of a MatrixMarket stream
+// and returns the declared dimensions and entry count, so a caller
+// holding untrusted input can bound them before Read allocates the
+// row-pointer array for the declared row count.
+func Size(r io.Reader) (rows, cols, nnz int, err error) {
+	h, err := readHeader(newScanner(r))
+	return h.rows, h.cols, h.nnz, err
+}
+
+// Read parses a MatrixMarket coordinate stream into an unprotected CSR
+// matrix. Real and integer fields are accepted; pattern entries get
+// value 1. Symmetric matrices are expanded to general storage. Storage
+// grows with the entries actually present, never with the declared
+// count; the row-pointer array is sized by the declared row count (see
+// Size).
+func Read(r io.Reader) (*csr.Matrix, error) {
+	sc := newScanner(r)
+	h, err := readHeader(sc)
+	if err != nil {
+		return nil, err
+	}
+	var entries []csr.Entry
 	for sc.Scan() {
 		line := strings.TrimSpace(sc.Text())
 		if line == "" || strings.HasPrefix(line, "%") {
@@ -89,7 +128,7 @@ func Read(r io.Reader) (*csr.Matrix, error) {
 			return nil, fmt.Errorf("mm: bad col in %q: %w", line, err)
 		}
 		val := 1.0
-		if field != "pattern" {
+		if h.field != "pattern" {
 			if len(f) < 3 {
 				return nil, fmt.Errorf("mm: missing value in %q", line)
 			}
@@ -99,17 +138,17 @@ func Read(r io.Reader) (*csr.Matrix, error) {
 			}
 		}
 		entries = append(entries, csr.Entry{Row: row - 1, Col: col - 1, Val: val})
-		if symmetric && row != col {
+		if h.symmetric && row != col {
 			entries = append(entries, csr.Entry{Row: col - 1, Col: row - 1, Val: val})
 		}
 	}
 	if err := sc.Err(); err != nil {
 		return nil, err
 	}
-	if len(entries) < nnz {
-		return nil, fmt.Errorf("mm: expected %d entries, found %d", nnz, len(entries))
+	if len(entries) < h.nnz {
+		return nil, fmt.Errorf("mm: expected %d entries, found %d", h.nnz, len(entries))
 	}
-	return csr.New(rows, cols, entries)
+	return csr.New(h.rows, h.cols, entries)
 }
 
 // ReadString parses a MatrixMarket document held in memory, the form

@@ -3,9 +3,11 @@ package mm
 import (
 	"bytes"
 	"compress/gzip"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"abft/internal/csr"
@@ -44,7 +46,7 @@ func assertSameMatrix(t *testing.T, a, b *csr.Matrix) {
 		}
 	}
 	for i := range a.Cols {
-		if a.Cols[i] != b.Cols[i] || a.Vals[i] != b.Vals[i] {
+		if a.Cols[i] != b.Cols[i] || math.Float64bits(a.Vals[i]) != math.Float64bits(b.Vals[i]) {
 			t.Fatalf("entry %d differs: (%d,%g) vs (%d,%g)",
 				i, a.Cols[i], a.Vals[i], b.Cols[i], b.Vals[i])
 		}
@@ -78,8 +80,7 @@ func TestLaplacianRoundTrip(t *testing.T) {
 	assertSameMatrix(t, src, back)
 }
 
-func TestSymmetricExpansion(t *testing.T) {
-	in := `%%MatrixMarket matrix coordinate real symmetric
+const symmetricDoc = `%%MatrixMarket matrix coordinate real symmetric
 % a comment
 3 3 4
 1 1 2.0
@@ -87,7 +88,32 @@ func TestSymmetricExpansion(t *testing.T) {
 3 2 -1.0
 3 3 2.0
 `
-	m, err := ReadString(in)
+
+const patternDoc = `%%MatrixMarket matrix coordinate pattern general
+2 2 2
+1 1
+2 2
+`
+
+// badDocs are documents Read must reject.
+var badDocs = []string{
+	"",
+	"hello world",
+	"%%MatrixMarket matrix array real general\n2 2 4\n",
+	"%%MatrixMarket matrix coordinate complex general\n1 1 1\n1 1 1 0\n",
+	"%%MatrixMarket matrix coordinate real hermitian\n1 1 1\n1 1 1\n",
+	"%%MatrixMarket matrix coordinate real general\nnot a size line\n",
+	"%%MatrixMarket matrix coordinate real general\n2 2 2\n1 1 1.0\n", // short
+	"%%MatrixMarket matrix coordinate real general\n2 2 1\nx 1 1.0\n",
+	"%%MatrixMarket matrix coordinate real general\n2 2 1\n1 y 1.0\n",
+	"%%MatrixMarket matrix coordinate real general\n2 2 1\n1 1 z\n",
+	"%%MatrixMarket matrix coordinate real general\n2 2 1\n1\n",
+	"%%MatrixMarket matrix coordinate real general\n2 2 1\n1 1\n",
+	"%%MatrixMarket matrix coordinate real general\n2 2 1\n5 5 1.0\n", // out of range
+}
+
+func TestSymmetricExpansion(t *testing.T) {
+	m, err := ReadString(symmetricDoc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,12 +126,7 @@ func TestSymmetricExpansion(t *testing.T) {
 }
 
 func TestPattern(t *testing.T) {
-	in := `%%MatrixMarket matrix coordinate pattern general
-2 2 2
-1 1
-2 2
-`
-	m, err := ReadString(in)
+	m, err := ReadString(patternDoc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,22 +136,7 @@ func TestPattern(t *testing.T) {
 }
 
 func TestErrors(t *testing.T) {
-	cases := []string{
-		"",
-		"hello world",
-		"%%MatrixMarket matrix array real general\n2 2 4\n",
-		"%%MatrixMarket matrix coordinate complex general\n1 1 1\n1 1 1 0\n",
-		"%%MatrixMarket matrix coordinate real hermitian\n1 1 1\n1 1 1\n",
-		"%%MatrixMarket matrix coordinate real general\nnot a size line\n",
-		"%%MatrixMarket matrix coordinate real general\n2 2 2\n1 1 1.0\n", // short
-		"%%MatrixMarket matrix coordinate real general\n2 2 1\nx 1 1.0\n",
-		"%%MatrixMarket matrix coordinate real general\n2 2 1\n1 y 1.0\n",
-		"%%MatrixMarket matrix coordinate real general\n2 2 1\n1 1 z\n",
-		"%%MatrixMarket matrix coordinate real general\n2 2 1\n1\n",
-		"%%MatrixMarket matrix coordinate real general\n2 2 1\n1 1\n",
-		"%%MatrixMarket matrix coordinate real general\n2 2 1\n5 5 1.0\n", // out of range
-	}
-	for i, in := range cases {
+	for i, in := range badDocs {
 		if _, err := ReadString(in); err == nil {
 			t.Errorf("case %d accepted:\n%s", i, in)
 		}
@@ -191,4 +197,72 @@ func TestReadFileGzip(t *testing.T) {
 	if _, err := ReadFile(bad); err == nil {
 		t.Fatal("plain text with .gz suffix accepted")
 	}
+}
+
+// TestReadRejectsUntrustedSizes feeds size lines that used to drive
+// allocations straight from the declared counts: a huge entry count
+// was preallocated (out of memory), a negative one panicked in make.
+// Each must be an ordinary error now, as must non-positive dimensions
+// and a document without a size line.
+func TestReadRejectsUntrustedSizes(t *testing.T) {
+	const banner = "%%MatrixMarket matrix coordinate real general\n"
+	for _, tc := range []struct{ name, doc string }{
+		{"huge-nnz", banner + "2 2 100000000000\n1 1 1.0\n"},
+		{"negative-nnz", banner + "2 2 -1\n1 1 1.0\n"},
+		{"zero-rows", banner + "0 2 0\n"},
+		{"negative-cols", banner + "2 -3 1\n1 1 1.0\n"},
+		{"no-size-line", banner + "% only a comment\n"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if _, err := ReadString(tc.doc); err == nil {
+				t.Fatalf("accepted:\n%s", tc.doc)
+			}
+		})
+	}
+}
+
+func TestSize(t *testing.T) {
+	rows, cols, nnz, err := Size(strings.NewReader(symmetricDoc))
+	if err != nil || rows != 3 || cols != 3 || nnz != 4 {
+		t.Fatalf("Size = %d, %d, %d, %v; want 3, 3, 4, nil", rows, cols, nnz, err)
+	}
+	if _, _, _, err := Size(strings.NewReader("%%MatrixMarket matrix coordinate real general\n4 4 -2\n")); err == nil {
+		t.Fatal("Size accepted a negative entry count")
+	}
+}
+
+// fuzzMaxDim bounds the declared dimensions FuzzRead parses. Read sizes
+// the row-pointer array by the declared row count (CSR needs it), so
+// callers holding untrusted input bound the dimensions through Size
+// first, as the solve service does; the harness does the same.
+const fuzzMaxDim = 1 << 16
+
+// FuzzRead checks that Read never panics and that whatever it accepts
+// round-trips through Write and Read unchanged, bit for bit.
+func FuzzRead(f *testing.F) {
+	var lap bytes.Buffer
+	if err := Write(&lap, csr.Laplacian2D(3, 2)); err != nil {
+		f.Fatal(err)
+	}
+	for _, doc := range append([]string{symmetricDoc, patternDoc, lap.String()}, badDocs...) {
+		f.Add(doc)
+	}
+	f.Fuzz(func(t *testing.T, doc string) {
+		if rows, cols, _, err := Size(strings.NewReader(doc)); err == nil && (rows > fuzzMaxDim || cols > fuzzMaxDim) {
+			t.Skip("declared dimensions above the harness bound")
+		}
+		m, err := ReadString(doc)
+		if err != nil {
+			return
+		}
+		var buf bytes.Buffer
+		if err := Write(&buf, m); err != nil {
+			t.Fatal(err)
+		}
+		back, err := Read(&buf)
+		if err != nil {
+			t.Fatalf("re-reading the written matrix: %v\n%s", err, buf.String())
+		}
+		assertSameMatrix(t, m, back)
+	})
 }

@@ -144,13 +144,6 @@ func (p *blockJacobiPre) Apply(z, r *core.Vector) error {
 		// blocks, so the whole 4x4 inverse is batch-verified in a single
 		// ReadBlocks call instead of four per-row reads.
 		var iv [blockLen * blockLen]float64
-		readInv := p.inv.ReadBlocksInto
-		switch p.mode {
-		case core.ModeShared:
-			readInv = p.inv.ReadBlocksSharedInto
-		case core.ModeUnverified:
-			readInv = p.inv.ReadBlocksUnverifiedInto
-		}
 		b0 := lo / blockLen
 		nb := (hi - lo + blockLen - 1) / blockLen
 		vecChecks(r, nb)
@@ -158,7 +151,7 @@ func (p *blockJacobiPre) Apply(z, r *core.Vector) error {
 			if err := r.ReadBlock(blk, &rv); err != nil {
 				return err
 			}
-			if err := readInv(blk*blockLen, (blk+1)*blockLen, iv[:]); err != nil {
+			if err := p.inv.ReadBlocksModeInto(p.mode, blk*blockLen, (blk+1)*blockLen, iv[:]); err != nil {
 				return err
 			}
 			for i := 0; i < blockLen; i++ {

@@ -51,12 +51,9 @@ func (p *jacobiPre) Apply(z, r *core.Vector) error {
 	p.bump()
 	return par.ForEach(p.inv.Blocks(), p.workers, 1, func(lo, hi int) error {
 		var dv, rv, out [blockLen]float64
-		if p.mode.Verifies() {
-			vecChecks(p.inv, hi-lo)
-		}
 		vecChecks(r, hi-lo)
 		for blk := lo; blk < hi; blk++ {
-			if err := readBlk(p.inv, blk, &dv, p.mode); err != nil {
+			if err := p.inv.ReadBlocksModeInto(p.mode, blk, blk+1, dv[:]); err != nil {
 				return err
 			}
 			if err := r.ReadBlock(blk, &rv); err != nil {

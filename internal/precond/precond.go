@@ -225,22 +225,6 @@ func invert(d []float64) error {
 // the granularity of all state reads and of block-Jacobi's blocks.
 const blockLen = 4
 
-// readBlk reads one block of a protected state vector under the given
-// read discipline: verified with repairs committed only when the
-// preconditioner is exclusively owned, streamed without decode under
-// ModeUnverified.
-func readBlk(v *core.Vector, blk int, dst *[blockLen]float64, mode core.ReadMode) error {
-	switch mode {
-	case core.ModeUnverified:
-		v.ReadBlockNoCheck(blk, dst)
-		return nil
-	case core.ModeShared:
-		return v.ReadBlockShared(blk, dst)
-	default:
-		return v.ReadBlock(blk, dst)
-	}
-}
-
 // vecChecks batches blocks verified reads into v's counters, mirroring
 // the kernels' per-call accounting.
 func vecChecks(v *core.Vector, blocks int) {
@@ -261,22 +245,12 @@ func decode(v *core.Vector, dst []float64, mode core.ReadMode) error {
 	if full > nb {
 		full = nb
 	}
-	read := v.ReadBlocksInto
-	switch mode {
-	case core.ModeShared:
-		read = v.ReadBlocksSharedInto
-	case core.ModeUnverified:
-		read = v.ReadBlocksUnverifiedInto
-	}
-	if err := read(0, full, dst[:full*blockLen]); err != nil {
+	if err := v.ReadBlocksModeInto(mode, 0, full, dst[:full*blockLen]); err != nil {
 		return err
 	}
 	var buf [blockLen]float64
-	if mode.Verifies() {
-		vecChecks(v, nb-full)
-	}
 	for b := full; b < nb; b++ {
-		if err := readBlk(v, b, &buf, mode); err != nil {
+		if err := v.ReadBlocksModeInto(mode, b, b+1, buf[:]); err != nil {
 			return err
 		}
 		lo := b * blockLen

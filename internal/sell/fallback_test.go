@@ -12,10 +12,10 @@ import (
 // protocol through its corrective branch from inside the package: a
 // value-bit flip in shared mode makes checkSlice report the slice dirty
 // (it may not commit the repair), so applyWindow must route the slice
-// through applySliceLocal — and, for CRC32C, re-derive each lane image
-// via decodeLaneCRC — while the product stays bit-exact against the
-// unprotected reference and the stored fault survives for the owner's
-// scrub.
+// through applySliceLocal — and, for CRC32C, serve each lane from the
+// corrected image checkSlice kept for it — while the product stays
+// bit-exact against the unprotected reference and the stored fault
+// survives for the owner's scrub.
 func TestSharedFallbackStreamsCorrectedValues(t *testing.T) {
 	for _, s := range []core.Scheme{core.SECDED64, core.SECDED128, core.CRC32C} {
 		for _, shared := range []bool{false, true} {

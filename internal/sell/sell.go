@@ -6,19 +6,14 @@
 // widest row and laid out column-major, so all C lanes of a slice advance
 // in lockstep.
 //
-// The protection follows the CSR element conventions of internal/core
-// (paper Fig 1): an element is the 96-bit (value, column-index) pair and
-// the redundancy lives in the unused top bits of the 32-bit column index,
-// costing zero extra storage:
-//
-//	SED        parity over value^column in column bit 31; cols <= 2^31-1
-//	SECDED64   8 check bits in the column top byte; cols <= 2^24-1
-//	SECDED128  9 check bits across two consecutive stored elements
-//	           (slices hold a multiple of C=4 entries, so pairs always
-//	           align); cols <= 2^24-1
-//	CRC32C     one CRC32C per stored row, byte-wise in the top bytes of
-//	           the row's first four entries (slice widths are padded to
-//	           >= 4 under this scheme); cols <= 2^24-1
+// The element stream is the one CSR uses, core.Elements (paper Fig 1):
+// an element is the 96-bit (value, column-index) codeword with the
+// redundancy in the unused top bits of the 32-bit column index, costing
+// zero extra storage. Only the geometry is SELL's own: SECDED128 pairs
+// two storage-consecutive entries (slices hold a multiple of C=4
+// entries, so pairs always align), and a CRC32C record group is one
+// stored row — a lane, entries lo+l, lo+l+C, ... of its slice, whose
+// width is padded to >= 4 under this scheme.
 //
 // The structural metadata — slice offsets, the row permutation and the
 // per-row lengths — is trusted: it is small, rebuildable from the source
@@ -29,9 +24,7 @@
 package sell
 
 import (
-	"encoding/binary"
 	"fmt"
-	"math"
 	"sort"
 
 	"abft/internal/core"
@@ -48,19 +41,6 @@ const C = 4
 // DefaultSigma is the sorting-window size used when Options.Sigma is zero.
 const DefaultSigma = 32
 
-// Codecs for the embedded layouts, identical specs to the CSR element
-// codecs of internal/core (the codeword is [val(64) | col(32)] with check
-// bits in the column top byte).
-var (
-	codecElem64  = ecc.MustSECDED(96, []int{88, 89, 90, 91, 92, 93, 94, 95})
-	codecElem128 = ecc.MustSECDED(192, []int{88, 89, 90, 91, 92, 184, 185, 186, 187})
-)
-
-const (
-	sedColMask = 0x7FFF_FFFF
-	eccColMask = 0x00FF_FFFF
-)
-
 // Options configures SELL-C-sigma protection.
 type Options struct {
 	// Scheme protects the (value, column-index) element stream.
@@ -75,8 +55,8 @@ type Options struct {
 
 // Matrix is a sparse matrix in SELL-C-sigma format with embedded ECC.
 type Matrix struct {
-	scheme     core.Scheme
-	backend    ecc.Backend
+	// Elements is the protected element stream, column-major per slice.
+	core.Elements
 	rows, cols int
 	nnz        int // logical entries (excluding slice padding)
 	sigma      int
@@ -87,10 +67,6 @@ type Matrix struct {
 	rowLen   []uint32 // real entries of each stored row
 	maxWidth int      // widest slice, sizes CRC scratch buffers
 
-	colIdx []uint32 // column indices + embedded ECC, column-major per slice
-	vals   []float64
-
-	counters *core.Counters
 	// mode is the read discipline Apply runs under; see SetReadMode.
 	mode core.ReadMode
 }
@@ -116,14 +92,12 @@ func NewMatrix(src *csr.Matrix, opt Options) (*Matrix, error) {
 	rows := src.Rows()
 	padded := (rows + C - 1) / C * C
 	m := &Matrix{
-		scheme:  s,
-		backend: opt.Backend,
-		rows:    rows,
-		cols:    src.Cols32(),
-		nnz:     src.NNZ(),
-		sigma:   sigma,
-		perm:    make([]uint32, padded),
-		rowLen:  make([]uint32, padded),
+		rows:   rows,
+		cols:   src.Cols32(),
+		nnz:    src.NNZ(),
+		sigma:  sigma,
+		perm:   make([]uint32, padded),
+		rowLen: make([]uint32, padded),
 	}
 	// Sort rows by descending length inside each sigma window; the stable
 	// tie-break keeps the permutation deterministic.
@@ -169,8 +143,8 @@ func NewMatrix(src *csr.Matrix, opt Options) (*Matrix, error) {
 		m.slicePtr[sl+1] = m.slicePtr[sl] + uint32(width*C)
 	}
 	total := int(m.slicePtr[slices])
-	m.colIdx = make([]uint32, total)
-	m.vals = make([]float64, total)
+	m.Elements = core.NewElements(s, opt.Backend, make([]float64, total), make([]uint32, total))
+	vals, cols := m.RawVals(), m.RawCols()
 
 	// Fill column-major per slice; padding entries are explicit zeros on
 	// a clamped diagonal column so SpMV adds 0*x[c] and nothing changes.
@@ -190,11 +164,11 @@ func NewMatrix(src *csr.Matrix, opt Options) (*Matrix, error) {
 				k := m.entryIndex(sl, l, j)
 				if r != padRow && j < int(m.rowLen[sr]) {
 					e := src.RowPtr[r] + uint32(j)
-					m.colIdx[k] = src.Cols[e]
-					m.vals[k] = src.Vals[e]
+					cols[k] = src.Cols[e]
+					vals[k] = src.Vals[e]
 				} else {
-					m.colIdx[k] = pad
-					m.vals[k] = 0
+					cols[k] = pad
+					vals[k] = 0
 				}
 			}
 		}
@@ -222,9 +196,6 @@ func (m *Matrix) Cols() int { return m.cols }
 // NNZ returns the number of logical entries.
 func (m *Matrix) NNZ() int { return m.nnz }
 
-// Scheme returns the protection scheme.
-func (m *Matrix) Scheme() core.Scheme { return m.scheme }
-
 // Sigma returns the row-sorting window.
 func (m *Matrix) Sigma() int { return m.sigma }
 
@@ -232,16 +203,13 @@ func (m *Matrix) Sigma() int { return m.sigma }
 func (m *Matrix) Slices() int { return len(m.slicePtr) - 1 }
 
 // StoredEntries returns the stored entry count including slice padding.
-func (m *Matrix) StoredEntries() int { return len(m.vals) }
+func (m *Matrix) StoredEntries() int { return len(m.RawVals()) }
 
 // SliceRange returns the half-open storage range [lo, hi) of slice sl.
 // Lane l of the slice occupies positions lo+l, lo+l+C, lo+l+2C, ...
 func (m *Matrix) SliceRange(sl int) (lo, hi int) {
 	return int(m.slicePtr[sl]), int(m.slicePtr[sl+1])
 }
-
-// SetCounters attaches a statistics accumulator.
-func (m *Matrix) SetCounters(c *core.Counters) { m.counters = c }
 
 // SetReadMode selects the read discipline for Apply. ModeShared marks
 // the matrix as applied concurrently from multiple goroutines: Apply
@@ -254,260 +222,70 @@ func (m *Matrix) SetReadMode(mode core.ReadMode) { m.mode = mode }
 // ReadMode returns the configured read discipline.
 func (m *Matrix) ReadMode() core.ReadMode { return m.mode }
 
-// CounterSnapshot returns a copy of the attached counters.
-func (m *Matrix) CounterSnapshot() core.CounterSnapshot { return m.counters.Snapshot() }
-
-// RawVals exposes the stored values for fault injection.
-func (m *Matrix) RawVals() []float64 { return m.vals }
-
-// RawCols exposes the stored column indices (data + embedded ECC) for
-// fault injection.
-func (m *Matrix) RawCols() []uint32 { return m.colIdx }
-
-// colMask returns the AND-mask isolating the data bits of a column index.
-func (m *Matrix) colMask() uint32 {
-	switch m.scheme {
-	case core.None:
-		return 0xFFFF_FFFF
-	case core.SED:
-		return sedColMask
-	default:
-		return eccColMask
-	}
-}
-
 // ---------------------------------------------------------------------------
-// Encoding
+// Encoding and checking
 
+// encodeAll encodes every element codeword; under CRC32C each lane is
+// one record group.
 func (m *Matrix) encodeAll() {
-	switch m.scheme {
-	case core.None:
-	case core.SED:
-		for k := range m.vals {
-			c := m.colIdx[k] & sedColMask
-			p := ecc.Parity64(math.Float64bits(m.vals[k]) ^ uint64(c))
-			m.colIdx[k] = c | uint32(p)<<31
-		}
-	case core.SECDED64:
-		for k := range m.vals {
-			cw := ecc.Word4{math.Float64bits(m.vals[k]), uint64(m.colIdx[k] & eccColMask)}
-			codecElem64.Encode(&cw)
-			m.colIdx[k] = uint32(cw[1])
-		}
-	case core.SECDED128:
-		for t := 0; 2*t < len(m.vals); t++ {
-			m.encodePair(t)
-		}
-	case core.CRC32C:
-		buf := make([]byte, m.maxWidth*12)
-		for sl := 0; sl < m.Slices(); sl++ {
-			for l := 0; l < C; l++ {
-				m.encodeLaneCRC(sl, l, buf)
-			}
+	m.EncodeEntries()
+	if m.Scheme() != core.CRC32C {
+		return
+	}
+	buf := make([]byte, m.maxWidth*12)
+	for sl := 0; sl < m.Slices(); sl++ {
+		lo, _ := m.SliceRange(sl)
+		for l := 0; l < C; l++ {
+			m.EncodeGroup(lo+l, C, m.sliceWidth(sl), buf)
 		}
 	}
 }
 
-func (m *Matrix) encodePair(t int) {
-	k := 2 * t
-	v0 := math.Float64bits(m.vals[k])
-	v1 := math.Float64bits(m.vals[k+1])
-	c0 := uint64(m.colIdx[k] & eccColMask)
-	c1 := uint64(m.colIdx[k+1] & eccColMask)
-	cw := ecc.Word4{v0, c0 | v1<<32, v1>>32 | c1<<32}
-	codecElem128.Encode(&cw)
-	m.colIdx[k] = uint32(cw[1])
-	m.colIdx[k+1] = uint32(cw[2] >> 32)
+// laneImage returns lane l's section of a CRC32C slice buffer (C lane
+// images of 12*maxWidth bytes each).
+func (m *Matrix) laneImage(buf []byte, l int) []byte {
+	n := 12 * m.maxWidth
+	return buf[l*n : (l+1)*n]
 }
 
-// encodeLaneCRC recomputes the checksum of lane l in slice sl: a CRC32C
-// over the lane's (value, column) records in entry order, stored byte-wise
-// in the top bytes of the lane's first four column indices.
-func (m *Matrix) encodeLaneCRC(sl, l int, buf []byte) {
-	n := m.sliceWidth(sl)
-	msg := buf[:12*n]
-	for j := 0; j < n; j++ {
-		k := m.entryIndex(sl, l, j)
-		m.colIdx[k] &= eccColMask
-		binary.LittleEndian.PutUint64(msg[12*j:], math.Float64bits(m.vals[k]))
-		binary.LittleEndian.PutUint32(msg[12*j+8:], m.colIdx[k])
-	}
-	crc := ecc.Checksum(msg, m.backend)
-	for j := 0; j < 4 && j < n; j++ {
-		m.colIdx[m.entryIndex(sl, l, j)] |= (crc >> (8 * uint(j)) & 0xFF) << 24
-	}
-}
-
-// ---------------------------------------------------------------------------
-// Checking
-
-func (m *Matrix) fault(idx int, detail string) error {
-	m.counters.AddDetected(1)
-	return &core.FaultError{
-		Structure: core.StructElements,
-		Scheme:    m.scheme,
-		Index:     idx,
-		Detail:    detail,
-	}
-}
-
-// checkSED verifies element k (detection only).
-func (m *Matrix) checkSED(k int) error {
-	if ecc.Parity64(math.Float64bits(m.vals[k])^uint64(m.colIdx[k])) != 0 {
-		return m.fault(k, "parity mismatch")
-	}
-	return nil
-}
-
-// check64 verifies element k, repairing single flips when commit is true.
-// The first return reports whether a correction was found — storage is
-// stale when it was and commit was false.
-func (m *Matrix) check64(k int, commit bool) (bool, error) {
-	cw := ecc.Word4{math.Float64bits(m.vals[k]), uint64(m.colIdx[k])}
-	switch res, _ := codecElem64.Check(&cw); res {
-	case ecc.Corrected:
-		if commit {
-			m.vals[k] = math.Float64frombits(cw[0])
-			m.colIdx[k] = uint32(cw[1])
-		}
-		m.counters.AddCorrected(1)
-		return true, nil
-	case ecc.Detected:
-		return false, m.fault(k, "secded64 double-bit error")
-	}
-	return false, nil
-}
-
-// checkPair verifies element pair t (storage entries 2t and 2t+1). The
-// first return reports whether a correction was found — storage is stale
-// when it was and commit was false.
-func (m *Matrix) checkPair(t int, commit bool) (bool, error) {
-	k := 2 * t
-	v0 := math.Float64bits(m.vals[k])
-	v1 := math.Float64bits(m.vals[k+1])
-	cw := ecc.Word4{v0, uint64(m.colIdx[k]) | v1<<32, v1>>32 | uint64(m.colIdx[k+1])<<32}
-	switch res, _ := codecElem128.Check(&cw); res {
-	case ecc.Corrected:
-		if commit {
-			m.vals[k] = math.Float64frombits(cw[0])
-			m.colIdx[k] = uint32(cw[1])
-			m.vals[k+1] = math.Float64frombits(cw[1]>>32 | cw[2]<<32)
-			m.colIdx[k+1] = uint32(cw[2] >> 32)
-		}
-		m.counters.AddCorrected(1)
-		return true, nil
-	case ecc.Detected:
-		return false, m.fault(t, "secded128 double-bit error")
-	}
-	return false, nil
-}
-
-// checkLaneCRC verifies the CRC codeword of lane l in slice sl; buf must
-// hold 12*sliceWidth bytes of scratch. The first return reports whether a
-// correction was found — storage is stale when it was and commit was
-// false.
-func (m *Matrix) checkLaneCRC(sl, l int, buf []byte, commit bool) (bool, error) {
-	n := m.sliceWidth(sl)
-	msg := buf[:12*n]
-	var stored uint32
-	for j := 0; j < n; j++ {
-		c := m.colIdx[m.entryIndex(sl, l, j)]
-		binary.LittleEndian.PutUint64(msg[12*j:], math.Float64bits(m.vals[m.entryIndex(sl, l, j)]))
-		binary.LittleEndian.PutUint32(msg[12*j+8:], c&eccColMask)
-		if j < 4 {
-			stored |= (c >> 24) << (8 * uint(j))
-		}
-	}
-	crc := ecc.Checksum(msg, m.backend)
-	if crc == stored {
-		return false, nil
-	}
-	flips, ok := ecc.CorrectCodeword(msg, stored, crc)
-	if !ok {
-		return false, m.fault(sl*C+l, "crc32c lane mismatch beyond correction depth")
-	}
-	for _, f := range flips {
-		if f.InCRC {
-			if commit {
-				m.colIdx[m.entryIndex(sl, l, f.Bit/8)] ^= 1 << uint(24+f.Bit%8)
-			}
-			continue
-		}
-		k := m.entryIndex(sl, l, f.Bit/96)
-		bit := f.Bit % 96
-		switch {
-		case bit < 64:
-			if commit {
-				m.vals[k] = math.Float64frombits(math.Float64bits(m.vals[k]) ^ 1<<uint(bit))
-			}
-		case bit < 88:
-			if commit {
-				m.colIdx[k] ^= 1 << uint(bit-64)
-			}
-		default:
-			return false, m.fault(sl*C+l, "crc flip located in reserved byte")
-		}
-	}
-	m.counters.AddCorrected(1)
-	return true, nil
-}
-
-// checkSlice verifies every codeword of slice sl in storage order in one
-// tight per-scheme pass, repairing correctable errors when commit is
-// true — the batch-verify half of the verify-then-stream protocol. It
-// returns whether the slice is dirty (a correction was found but not
-// committed, so storage still holds a raw fault and the caller must take
-// the corrective lane decode instead of streaming storage), the number
-// of codeword checks performed, and the first error.
+// checkSlice verifies every codeword of slice sl in one tight pass,
+// repairing correctable errors when commit is true — the batch-verify
+// half of the verify-then-stream protocol. It returns whether the slice
+// is dirty (a correction was found but not committed, so storage still
+// holds a raw fault and the caller must decode through applySliceLocal
+// instead of streaming storage), the number of codeword checks
+// performed, and the first error. Under CRC32C each lane's corrected
+// image stays in its own section of buf, so a dirty slice decodes every
+// lane without re-verifying.
 func (m *Matrix) checkSlice(sl int, buf []byte, commit bool) (dirty bool, checks uint64, err error) {
-	lo, hi := int(m.slicePtr[sl]), int(m.slicePtr[sl+1])
-	record := func(corrected bool, e error) {
+	lo, hi := m.SliceRange(sl)
+	if m.Scheme() != core.CRC32C {
+		return m.CheckSpan(lo, hi, commit, nil)
+	}
+	for l := 0; l < C; l++ {
+		corrected, e := m.CheckGroup(sl*C+l, lo+l, C, (hi-lo)/C, m.laneImage(buf, l), commit)
 		if e != nil && err == nil {
 			err = e
 		}
-		if corrected && !commit {
-			dirty = true
-		}
+		dirty = dirty || corrected && !commit
 	}
-	switch m.scheme {
-	case core.None:
-	case core.SED:
-		for k := lo; k < hi; k++ {
-			checks++
-			record(false, m.checkSED(k))
-		}
-	case core.SECDED64:
-		for k := lo; k < hi; k++ {
-			checks++
-			record(m.check64(k, commit))
-		}
-	case core.SECDED128:
-		for t := lo / 2; 2*t < hi; t++ {
-			checks++
-			record(m.checkPair(t, commit))
-		}
-	case core.CRC32C:
-		for l := 0; l < C; l++ {
-			checks++
-			record(m.checkLaneCRC(sl, l, buf, commit))
-		}
-	}
-	return dirty, checks, err
+	return dirty, C, err
 }
 
 // CheckAll verifies and repairs every codeword, returning the number of
 // corrections and the first uncorrectable error.
 func (m *Matrix) CheckAll() (corrected int, err error) {
-	if m.counters == nil {
+	if m.Counters() == nil {
 		// Attach a scratch accumulator so corrections are counted even
 		// for untracked matrices.
-		m.counters = &core.Counters{}
-		defer func() { m.counters = nil }()
+		m.SetCounters(&core.Counters{})
+		defer m.SetCounters(nil)
 	}
-	before := m.counters.Corrected()
+	counters := m.Counters()
+	before := counters.Corrected()
 	var buf []byte
-	if m.scheme == core.CRC32C {
-		buf = make([]byte, m.maxWidth*12)
+	if m.Scheme() == core.CRC32C {
+		buf = make([]byte, C*m.maxWidth*12)
 	}
 	var checks uint64
 	for sl := 0; sl < m.Slices(); sl++ {
@@ -517,8 +295,8 @@ func (m *Matrix) CheckAll() (corrected int, err error) {
 			err = e
 		}
 	}
-	m.counters.AddChecks(checks)
-	return int(m.counters.Corrected() - before), err
+	counters.AddChecks(checks)
+	return int(counters.Corrected() - before), err
 }
 
 // Scrub verifies and repairs every codeword, satisfying
@@ -530,9 +308,9 @@ func (m *Matrix) Scrub() (corrected int, err error) { return m.CheckAll() }
 // SED/SECDED64, storage-consecutive pairs under SECDED128, and a strided
 // lane (entries base, base+C, ...) under CRC32C.
 func (m *Matrix) ElemCodewordSpan(pick func(n int) int) (base, span, stride int) {
-	switch m.scheme {
+	switch m.Scheme() {
 	case core.SECDED128:
-		return pick(len(m.vals)/2) * 2, 2, 1
+		return pick(m.StoredEntries()/2) * 2, 2, 1
 	case core.CRC32C:
 		sl := pick(m.Slices())
 		lo, hi := m.SliceRange(sl)
@@ -540,7 +318,7 @@ func (m *Matrix) ElemCodewordSpan(pick func(n int) int) (base, span, stride int)
 			return lo + pick(C), width, C
 		}
 	}
-	return pick(len(m.vals)), 1, 1
+	return pick(m.StoredEntries()), 1, 1
 }
 
 // ---------------------------------------------------------------------------
@@ -628,8 +406,8 @@ func (m *Matrix) apply(dst, x *core.MultiVector, workers int, mode core.ReadMode
 		acc := make([]float64, k*m.sigma+k)
 		acc, sums := acc[:k*m.sigma], acc[k*m.sigma:]
 		var buf []byte
-		if m.scheme == core.CRC32C && mode.Verifies() {
-			buf = make([]byte, m.maxWidth*12)
+		if m.Scheme() == core.CRC32C && mode.Verifies() {
+			buf = make([]byte, C*m.maxWidth*12)
 		}
 		for w := wlo; w < whi; w++ {
 			if err := m.applyWindow(dst, xs, acc, sums, buf, w, mode); err != nil {
@@ -652,13 +430,14 @@ func (m *Matrix) applyWindow(dst *core.MultiVector, xs, acc, sums []float64, buf
 	top := min(base+m.sigma, m.rows)
 	k := dst.K()
 	clear(acc)
-	mask := m.colMask()
+	scheme, mask := m.Scheme(), m.ColMask()
+	vals, cols := m.RawVals(), m.RawCols()
 	slo := base / C
 	shi := (top + C - 1) / C
 	var checks uint64
-	defer func() { m.counters.AddChecks(checks) }()
+	defer func() { m.Counters().AddChecks(checks) }()
 	for sl := slo; sl < shi; sl++ {
-		if m.scheme != core.None && mode.Verifies() {
+		if scheme != core.None && mode.Verifies() {
 			dirty, n, err := m.checkSlice(sl, buf, mode.Commits())
 			checks += n
 			if err != nil {
@@ -690,11 +469,11 @@ func (m *Matrix) applyWindow(dst *core.MultiVector, xs, acc, sums []float64, buf
 				var sum float64
 				for j := 0; j < width; j++ {
 					e := m.entryIndex(sl, l, j)
-					col := m.colIdx[e] & mask
-					if m.scheme != core.None && col >= uint32(m.cols) {
+					col := cols[e] & mask
+					if scheme != core.None && col >= uint32(m.cols) {
 						return m.boundsErr(e, col)
 					}
-					sum += m.vals[e] * xs[col]
+					sum += vals[e] * xs[col]
 				}
 				acc[int(r)-base] = sum
 				continue
@@ -702,11 +481,11 @@ func (m *Matrix) applyWindow(dst *core.MultiVector, xs, acc, sums []float64, buf
 			clear(sums)
 			for j := 0; j < width; j++ {
 				e := m.entryIndex(sl, l, j)
-				col := m.colIdx[e] & mask
-				if m.scheme != core.None && col >= uint32(m.cols) {
+				col := cols[e] & mask
+				if scheme != core.None && col >= uint32(m.cols) {
 					return m.boundsErr(e, col)
 				}
-				v := m.vals[e]
+				v := vals[e]
 				for c := range sums {
 					sums[c] += v * xs[c*m.cols+int(col)]
 				}
@@ -735,68 +514,38 @@ func (m *Matrix) applyWindow(dst *core.MultiVector, xs, acc, sums []float64, buf
 
 // boundsErr counts and reports the out-of-range column index of element e.
 func (m *Matrix) boundsErr(e int, col uint32) error {
-	m.counters.AddBounds(1)
+	m.Counters().AddBounds(1)
 	return &core.BoundsError{Structure: core.StructElements, Index: e,
 		Value: col, Limit: uint32(m.cols)}
 }
 
 // applySliceLocal accumulates slice sl's lanes into acc with every
-// codeword decoded into locals — the corrective fallback of the
-// verify-then-stream protocol for shared matrices: the slice verify
+// entry decoded through a core.ElemDecoder — the corrective fallback of
+// the verify-then-stream protocol for shared matrices: the slice verify
 // found a correction it could not commit, so storage cannot be streamed
-// and each element is re-decoded with corrections applied to the local
-// copy only. The verify pass already accounted the checks and
+// and each entry is re-decoded with corrections applied to the local
+// copy only (under CRC32C, served from the lane images checkSlice left
+// in buf). The verify pass already accounted the checks and
 // corrections, so this path deliberately counts nothing.
 func (m *Matrix) applySliceLocal(acc, xbuf []float64, buf []byte, sl, base int) error {
+	var dec core.ElemDecoder
+	dec.Reset(&m.Elements)
+	lo, _ := m.SliceRange(sl)
 	width := m.sliceWidth(sl)
 	for l := 0; l < C; l++ {
 		r := m.perm[sl*C+l]
 		if r == padRow {
 			continue
 		}
-		if m.scheme == core.CRC32C {
-			// Rebuild this lane's corrected image: checkSlice shares one
-			// scratch buffer across the four lanes, so by the time the
-			// slice is known dirty the buffer only holds the last lane.
-			if err := m.decodeLaneCRC(sl, l, buf); err != nil {
-				return err
-			}
+		if buf != nil {
+			dec.Group(m.laneImage(buf, l), lo+l, C)
 		}
 		var sum float64
 		for j := 0; j < width; j++ {
 			k := m.entryIndex(sl, l, j)
-			var col uint32
-			var val float64
-			switch m.scheme {
-			case core.SECDED64:
-				cw := ecc.Word4{math.Float64bits(m.vals[k]), uint64(m.colIdx[k])}
-				if res, _ := codecElem64.Check(&cw); res == ecc.Detected {
-					return m.fault(k, "secded64 double-bit error")
-				}
-				col = uint32(cw[1]) & eccColMask
-				val = math.Float64frombits(cw[0])
-			case core.SECDED128:
-				t := k / 2
-				v0 := math.Float64bits(m.vals[2*t])
-				v1 := math.Float64bits(m.vals[2*t+1])
-				cw := ecc.Word4{v0, uint64(m.colIdx[2*t]) | v1<<32, v1>>32 | uint64(m.colIdx[2*t+1])<<32}
-				if res, _ := codecElem128.Check(&cw); res == ecc.Detected {
-					return m.fault(t, "secded128 double-bit error")
-				}
-				if k%2 == 0 {
-					col = uint32(cw[1]) & eccColMask
-					val = math.Float64frombits(cw[0])
-				} else {
-					col = uint32(cw[2]>>32) & eccColMask
-					val = math.Float64frombits(cw[1]>>32 | cw[2]<<32)
-				}
-			case core.CRC32C:
-				col = binary.LittleEndian.Uint32(buf[12*j+8:]) & eccColMask
-				val = math.Float64frombits(binary.LittleEndian.Uint64(buf[12*j:]))
-			default:
-				// SED is detect-only, so a slice can never be dirty.
-				col = m.colIdx[k] & m.colMask()
-				val = m.vals[k]
+			col, val, err := dec.At(k)
+			if err != nil {
+				return err
 			}
 			if col >= uint32(m.cols) {
 				return m.boundsErr(k, col)
@@ -804,42 +553,6 @@ func (m *Matrix) applySliceLocal(acc, xbuf []float64, buf []byte, sl, base int) 
 			sum += val * xbuf[col]
 		}
 		acc[int(r)-base] = sum
-	}
-	return nil
-}
-
-// decodeLaneCRC reconstructs lane l of slice sl into buf with any
-// correctable flips patched into the local image, writing nothing back
-// and counting nothing: the uncounted re-decode behind applySliceLocal.
-func (m *Matrix) decodeLaneCRC(sl, l int, buf []byte) error {
-	n := m.sliceWidth(sl)
-	msg := buf[:12*n]
-	var stored uint32
-	for j := 0; j < n; j++ {
-		k := m.entryIndex(sl, l, j)
-		c := m.colIdx[k]
-		binary.LittleEndian.PutUint64(msg[12*j:], math.Float64bits(m.vals[k]))
-		binary.LittleEndian.PutUint32(msg[12*j+8:], c&eccColMask)
-		if j < 4 {
-			stored |= (c >> 24) << (8 * uint(j))
-		}
-	}
-	crc := ecc.Checksum(msg, m.backend)
-	if crc == stored {
-		return nil
-	}
-	flips, ok := ecc.CorrectCodeword(msg, stored, crc)
-	if !ok {
-		return m.fault(sl*C+l, "crc32c lane mismatch beyond correction depth")
-	}
-	for _, f := range flips {
-		if f.InCRC {
-			continue
-		}
-		if f.Bit%96 >= 88 {
-			return m.fault(sl*C+l, "crc flip located in reserved byte")
-		}
-		msg[f.Bit/8] ^= 1 << uint(f.Bit%8)
 	}
 	return nil
 }
@@ -865,7 +578,7 @@ func (m *Matrix) ToCSR() (*csr.Matrix, error) {
 	if _, err := m.CheckAll(); err != nil {
 		return nil, err
 	}
-	mask := m.colMask()
+	mask, vals, cols := m.ColMask(), m.RawVals(), m.RawCols()
 	entries := make([]csr.Entry, 0, m.nnz)
 	for sl := 0; sl < m.Slices(); sl++ {
 		for l := 0; l < C; l++ {
@@ -878,8 +591,8 @@ func (m *Matrix) ToCSR() (*csr.Matrix, error) {
 				k := m.entryIndex(sl, l, j)
 				entries = append(entries, csr.Entry{
 					Row: int(r),
-					Col: int(m.colIdx[k] & mask),
-					Val: m.vals[k],
+					Col: int(cols[k] & mask),
+					Val: vals[k],
 				})
 			}
 		}

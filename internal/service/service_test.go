@@ -3,6 +3,7 @@ package service
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -295,6 +296,64 @@ func TestAsyncSubmitAndPoll(t *testing.T) {
 			t.Fatalf("job stuck in state %s", cur.State)
 		}
 		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// TestAdmissionBoundsMatrixSizes posts small requests whose declared
+// sizes used to drive allocations before anything checked them: a
+// MatrixMarket entry count preallocated in full (the daemon died out of
+// memory), a negative one (panic), and row or column counts above the
+// element layouts' column space for every matrix source. Each must be a
+// 400 and the server must keep serving.
+func TestAdmissionBoundsMatrixSizes(t *testing.T) {
+	srv := New(Config{Workers: 1})
+	defer srv.Close()
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+
+	const banner = "%%MatrixMarket matrix coordinate real general\n"
+	for _, tc := range []struct {
+		name string
+		spec MatrixSpec
+	}{
+		{"mm-huge-nnz", MatrixSpec{MatrixMarket: banner + "2 2 100000000000\n1 1 4.0\n2 2 4.0\n"}},
+		{"mm-negative-nnz", MatrixSpec{MatrixMarket: banner + "2 2 -1\n1 1 4.0\n"}},
+		{"mm-huge-dims", MatrixSpec{MatrixMarket: banner + "100000000000 100000000000 1\n1 1 4.0\n"}},
+		{"grid-huge", MatrixSpec{Grid: &GridSpec{NX: 1 << 20, NY: 1 << 20}}},
+		{"entries-huge-rows", MatrixSpec{Rows: 100000000000, Cols: 100000000000,
+			Entries: []Triplet{{Row: 0, Col: 0, Val: 1}}}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if _, resp := postSolve(t, ts.URL, SolveRequest{Matrix: tc.spec}, true); resp.StatusCode != http.StatusBadRequest {
+				t.Fatalf("status %d, want 400", resp.StatusCode)
+			}
+		})
+	}
+	st, resp := postSolve(t, ts.URL, SolveRequest{Matrix: MatrixSpec{Grid: &GridSpec{NX: 4, NY: 4}}}, true)
+	if resp.StatusCode != http.StatusOK || st.State != "done" {
+		t.Fatalf("after the rejected requests: status %d, state %q", resp.StatusCode, st.State)
+	}
+}
+
+// TestBuildDimensionLimit pins the admission bound at its edge: one row
+// or column past maxMatrixDim is rejected for every source before
+// anything is assembled.
+func TestBuildDimensionLimit(t *testing.T) {
+	if err := checkDims(maxMatrixDim, maxMatrixDim); err != nil {
+		t.Fatalf("limit itself rejected: %v", err)
+	}
+	const over = maxMatrixDim + 1
+	for _, spec := range []MatrixSpec{
+		{Grid: &GridSpec{NX: 1 << 12, NY: 1<<12 + 1}},
+		{Grid: &GridSpec{NX: over, NY: 2}},
+		{MatrixMarket: fmt.Sprintf("%%%%MatrixMarket matrix coordinate real general\n%d 2 1\n1 1 1.0\n", over)},
+		{MatrixMarket: fmt.Sprintf("%%%%MatrixMarket matrix coordinate real general\n2 %d 1\n1 1 1.0\n", over)},
+		{Rows: over, Cols: 2, Entries: []Triplet{{Row: 0, Col: 0, Val: 1}}},
+		{Rows: 2, Cols: over, Entries: []Triplet{{Row: 0, Col: 0, Val: 1}}},
+	} {
+		if _, err := spec.Build(); err == nil || !strings.Contains(err.Error(), "limit") {
+			t.Errorf("%+v: err %v, want the dimension limit", spec, err)
+		}
 	}
 }
 

@@ -13,6 +13,7 @@ package service
 
 import (
 	"fmt"
+	"strings"
 	"time"
 
 	"abft/internal/core"
@@ -55,7 +56,23 @@ type MatrixSpec struct {
 	MatrixMarket string `json:"matrix_market,omitempty"`
 }
 
-// Build assembles the unprotected CSR matrix the spec describes.
+// maxMatrixDim bounds the rows and columns of every matrix source a
+// request may name. It is the widest column space the CSR and
+// SELL-C-sigma ECC element layouts can index (24 data bits per column
+// index), and Build enforces it before assembling anything, so an
+// untrusted size never drives an allocation.
+const maxMatrixDim = 1 << 24
+
+// checkDims rejects dimensions above maxMatrixDim.
+func checkDims(rows, cols int) error {
+	if rows > maxMatrixDim || cols > maxMatrixDim {
+		return fmt.Errorf("matrix %dx%d exceeds the %d row and column limit", rows, cols, maxMatrixDim)
+	}
+	return nil
+}
+
+// Build assembles the unprotected CSR matrix the spec describes, after
+// bounding its declared dimensions by maxMatrixDim.
 func (s *MatrixSpec) Build() (*csr.Matrix, error) {
 	sources := 0
 	if s.Grid != nil {
@@ -72,13 +89,27 @@ func (s *MatrixSpec) Build() (*csr.Matrix, error) {
 	}
 	switch {
 	case s.Grid != nil:
-		if s.Grid.NX < 2 || s.Grid.NY < 2 {
-			return nil, fmt.Errorf("grid %dx%d too small (need >= 2x2)", s.Grid.NX, s.Grid.NY)
+		nx, ny := s.Grid.NX, s.Grid.NY
+		if nx < 2 || ny < 2 {
+			return nil, fmt.Errorf("grid %dx%d too small (need >= 2x2)", nx, ny)
 		}
-		return csr.Laplacian2D(s.Grid.NX, s.Grid.NY), nil
+		if nx > maxMatrixDim || ny > maxMatrixDim || nx*ny > maxMatrixDim {
+			return nil, fmt.Errorf("grid %dx%d exceeds the %d row and column limit", nx, ny, maxMatrixDim)
+		}
+		return csr.Laplacian2D(nx, ny), nil
 	case s.MatrixMarket != "":
+		rows, cols, _, err := mm.Size(strings.NewReader(s.MatrixMarket))
+		if err != nil {
+			return nil, err
+		}
+		if err := checkDims(rows, cols); err != nil {
+			return nil, err
+		}
 		return mm.ReadString(s.MatrixMarket)
 	default:
+		if err := checkDims(s.Rows, s.Cols); err != nil {
+			return nil, err
+		}
 		entries := make([]csr.Entry, len(s.Entries))
 		for i, t := range s.Entries {
 			entries[i] = csr.Entry{Row: t.Row, Col: t.Col, Val: t.Val}

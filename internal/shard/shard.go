@@ -480,9 +480,9 @@ func (o *Operator) apply(dst, x *core.MultiVector, workers int, mode core.ReadMo
 	// The scatter and gather read operands this call owns, so verified
 	// reads commit repairs; the exchange reads blocks several shards
 	// may pack concurrently, so it never does.
-	own, packed := reader(core.ModeExclusive), reader(core.ModeShared)
+	own, packed := core.ModeExclusive, core.ModeShared
 	if !mode.Verifies() {
-		own, packed = reader(core.ModeUnverified), reader(core.ModeUnverified)
+		own, packed = mode, mode
 	}
 
 	// Scatter: each shard batch-reads its own span of every global
@@ -539,30 +539,14 @@ func (o *Operator) apply(dst, x *core.MultiVector, workers int, mode core.ReadMo
 	return nil
 }
 
-// readFunc reads blocks [b0,b1) of v into dst under one read discipline.
-type readFunc func(v *core.Vector, b0, b1 int, dst []float64) error
-
-// reader returns mode's block-range read: verified with repairs
-// committed (ModeExclusive), verified without commit (ModeShared), or
-// streamed without decode (ModeUnverified).
-func reader(mode core.ReadMode) readFunc {
-	switch mode {
-	case core.ModeExclusive:
-		return (*core.Vector).ReadBlocksInto
-	case core.ModeShared:
-		return (*core.Vector).ReadBlocksSharedInto
-	}
-	return (*core.Vector).ReadBlocksUnverifiedInto
-}
-
 // copyBand moves band b's rows from src (starting at block sb0) into dst
-// (starting at block db0), reading packChunk blocks per call through
-// buf and re-encoding them block by block.
-func copyBand(b *band, dst *core.Vector, db0 int, src *core.Vector, sb0 int, read readFunc, buf []float64) error {
+// (starting at block db0), reading packChunk blocks per call under mode
+// through buf and re-encoding them block by block.
+func copyBand(b *band, dst *core.Vector, db0 int, src *core.Vector, sb0 int, mode core.ReadMode, buf []float64) error {
 	nb := (b.rows() + blockLen - 1) / blockLen
 	for c := 0; c < nb; c += packChunk {
 		cn := min(packChunk, nb-c)
-		if err := read(src, sb0+c, sb0+c+cn, buf[:cn*blockLen]); err != nil {
+		if err := src.ReadBlocksModeInto(mode, sb0+c, sb0+c+cn, buf[:cn*blockLen]); err != nil {
 			return err
 		}
 		for i := 0; i < cn; i++ {
@@ -581,7 +565,7 @@ func copyBand(b *band, dst *core.Vector, db0 int, src *core.Vector, sb0 int, rea
 // may read one source block concurrently), and the entries are
 // re-encoded as they land in the destination halo, so corruption in
 // either shard's memory is still caught at the boundary.
-func (o *Operator) exchange(ws *workspace, read readFunc) error {
+func (o *Operator) exchange(ws *workspace, mode core.ReadMode) error {
 	k := ws.k
 	return o.forEachBand(func(bi int, b *band) error {
 		n := len(b.haloCols)
@@ -616,7 +600,7 @@ func (o *Operator) exchange(ws *workspace, read readFunc) error {
 			src := ws.run[bi][:span]
 			off := blk0*blockLen + r0
 			for j := 0; j < k; j++ {
-				if err := read(ws.x[ow].Col(j), blk0, blkEnd+1, src); err != nil {
+				if err := ws.x[ow].Col(j).ReadBlocksModeInto(mode, blk0, blkEnd+1, src); err != nil {
 					return fmt.Errorf("shard: pack shard %d for shard %d: %w", ow, bi, err)
 				}
 				col, out := ws.x[bi].Col(j), (*[blockLen]float64)(outs[j*blockLen:])
